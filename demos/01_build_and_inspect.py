@@ -28,9 +28,8 @@ for row in h.toarray():
 report = s.verify_structure(h, 2, 2)
 print(f"\nstructure: rho={report.rho} gamma={report.gamma} lambda<={report.lambda_max}")
 
-graph = s.BipartiteGraph.from_matrix(h)
-print(f"girth   = {s.girth(graph)}")
-print(f"diameter = {s.diameter(graph)}")
+print(f"girth   = {s.girth(h)}")
+print(f"diameter = {s.diameter(h)}")
 print(f"rank over GF(2) = {s.rank_gf2(h)}")
 print(f"code dimensions: columns-as-points {s.code_dimension(h)}, "
       f"columns-as-lines {s.code_dimension(h.transpose())}")

@@ -43,7 +43,6 @@ from .gf2 import (
     tanner_lower_bound,
 )
 from .incidence import (
-    BipartiteGraph,
     SparseBitMatrix,
     StructureReport,
     build_h,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AwgnChannel",
-    "BipartiteGraph",
     "CodeSpec",
     "DecodeOutcome",
     "DistanceResult",

@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .exceptions import BadCharacteristicError, BadParametersError
+from .exceptions import BadCharacteristicError, BadParametersError, StructureViolationError
 from .gf import field_of_size
-from .incidence import BipartiteGraph, SparseBitMatrix, build_h
+from .incidence import SparseBitMatrix, build_h
 from .incidence import girth as graph_girth
 from .symspace import SymSpace
 
@@ -58,7 +58,7 @@ class CodeSpec:
     def girth(self):
         """Girth of the Tanner graph of h (computed once, on demand)."""
         if self._girth is None:
-            self._girth = graph_girth(BipartiteGraph.from_matrix(self.h))
+            self._girth = graph_girth(self.h)
         return self._girth
 
 
@@ -106,8 +106,10 @@ def ctranspose_witness(n: int, q: int) -> frozenset[int]:
         sweep_second = sorted(space.corner(x, 0, y).index for y in range(q))
         witness.add(space.line_index(sweep_first))
         witness.add(space.line_index(sweep_second))
-    assert len(witness) == 2 * q
-    assert gf2.columns_sum_zero(build_h(space).transpose(), witness)
+    if len(witness) != 2 * q or not gf2.columns_sum_zero(build_h(space).transpose(), witness):
+        raise StructureViolationError(
+            f"CT({n},{q}): the {len(witness)} witness lines are not 2q dependent columns"
+        )
     return frozenset(witness)
 
 
@@ -194,7 +196,11 @@ def certified_min_distance(code: CodeSpec) -> gf2.DistanceResult | None:
         return None
     witness = ctranspose_witness(code.n, code.q)
     bound = gf2.tanner_lower_bound(8, code.q)
-    assert len(witness) == bound
+    if len(witness) != bound or not gf2.columns_sum_zero(code.h, witness):
+        raise StructureViolationError(
+            f"{code.code_id}: witness of {len(witness)} columns does not certify "
+            f"the girth bound {bound}"
+        )
     return gf2.DistanceResult(
         value=bound,
         status=gf2.EXACT,

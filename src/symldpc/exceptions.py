@@ -34,7 +34,7 @@ class EmptyInputError(SymLdpcError, ValueError):
 
 
 class StructureViolationError(SymLdpcError, ValueError):
-    """A parity-check matrix fails one of the regular-LDPC structure checks."""
+    """A parity-check matrix fails a regular-LDPC structure check or a certificate check."""
 
 
 class UnsupportedGirthError(SymLdpcError, ValueError):

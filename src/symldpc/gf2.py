@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import UnsupportedGirthError
+from .exceptions import StructureViolationError, UnsupportedGirthError
 from .incidence import SparseBitMatrix
 
 # full codeword enumeration is used when the code dimension is at most this
@@ -238,7 +238,8 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
     if k <= ENUM_DIM_CAP:
         w, cw = _min_weight_enumeration(basis)
         witness = _support(cw)
-        assert columns_sum_zero(h, witness)
+        if not columns_sum_zero(h, witness):
+            raise StructureViolationError("enumerated minimum-weight word is not a codeword")
         return DistanceResult(
             value=w, status=EXACT, witness=witness, method=METHOD_ENUMERATION
         )
@@ -306,7 +307,8 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
             witness=None,
             method=METHOD_SUPPORT_SEARCH,
         )
-    assert best_support[0] is not None and is_stopping_set(h, best_support[0])
+    if not is_stopping_set(h, best_support[0]):
+        raise StructureViolationError("branch-and-bound result is not a stopping set")
     return DistanceResult(
         value=best[0],
         status=EXACT,

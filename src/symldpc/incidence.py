@@ -21,6 +21,8 @@ from .symspace import SymSpace
 EDGE_CAP = 1 << 24
 # diameter/girth BFS refuses graphs with more vertices than this
 VERTEX_CAP = 1 << 20
+# roots advanced together by one BFS pass; BFS memory is O(V * ROOT_BLOCK) bits
+ROOT_BLOCK = 4096
 
 INFINITE = float("inf")
 
@@ -73,30 +75,6 @@ class SparseBitMatrix:
         for i, row in enumerate(self.row_support):
             out[i, list(row)] = 1
         return out
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Left vertices = rows (lines), right vertices = columns (points)."""
-
-    left: int
-    right: int
-    edges: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_matrix(cls, h: SparseBitMatrix) -> "BipartiteGraph":
-        edges = tuple(
-            (i, j) for i, row in enumerate(h.row_support) for j in row
-        )
-        return cls(left=h.nrows, right=h.ncols, edges=edges)
-
-    def adjacency(self) -> list[list[int]]:
-        """Single vertex numbering: 0..left-1 rows, then left..left+right-1 columns."""
-        adj: list[list[int]] = [[] for _ in range(self.left + self.right)]
-        for i, j in self.edges:
-            adj[i].append(self.left + j)
-            adj[self.left + j].append(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -178,76 +156,64 @@ def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
     )
 
 
-def girth(g: BipartiteGraph):
-    """Length of the shortest cycle, or the infinity float for forests.
+def _all_roots_bfs(h: SparseBitMatrix):
+    """Girth and diameter of the Tanner graph of h, from one BFS of every root.
 
-    BFS from every vertex; a non-tree edge between depths d1 and d2 closes
-    a cycle of length d1 + d2 + 1 through the root, and the minimum of
-    those candidates over all roots is exact.  BFS depth is capped at what
-    could still improve the current best.
+    Vertices are the rows 0..nrows-1, then the columns.  Roots run in
+    blocks of ROOT_BLOCK; each vertex keeps an int bitset of the block's
+    roots that have reached it, so one pass over the adjacency per depth
+    advances every root of the block at once.  A vertex that receives the
+    same new root from two frontier neighbours at depth d closes a cycle
+    of length 2d through that root.  The graph is bipartite, so no edge
+    joins a layer to itself, and the first such depth over all roots is
+    the exact girth.  The last depth that adds any bit is the largest
+    eccentricity; a root that misses a vertex makes the diameter infinite.
     """
-    nverts = g.left + g.right
+    nverts = h.nrows + h.ncols
     if nverts > VERTEX_CAP:
         raise TooLargeError(f"{nverts} vertices exceeds BFS cap {VERTEX_CAP}")
-    adj = g.adjacency()
-    best = INFINITE
-    dist = [-1] * nverts
-    parent = [-1] * nverts
-    for root in range(nverts):
-        dist[root] = 0
-        parent[root] = -1
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            du = dist[u]
-            if best != INFINITE and du > (best - 2) // 2:
-                break
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = du + dist[w] + 1
-                    if cand < best:
-                        best = cand
-        for v in queue:
-            dist[v] = -1
-            parent[v] = -1
-    return best
-
-
-def diameter(g: BipartiteGraph):
-    """Maximum BFS eccentricity; the infinity float when disconnected."""
-    nverts = g.left + g.right
-    if nverts > VERTEX_CAP:
-        raise TooLargeError(f"{nverts} vertices exceeds BFS cap {VERTEX_CAP}")
-    if nverts == 0:
-        return 0
-    adj = g.adjacency()
+    adj = [tuple(h.nrows + j for j in row) for row in h.row_support]
+    adj.extend(h.col_support)
+    best_girth = INFINITE
     worst = 0
-    for root in range(nverts):
-        dist = [-1] * nverts
-        dist[root] = 0
-        queue = [root]
-        qi = 0
-        reached = 1
-        ecc = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    ecc = dist[w]
-                    reached += 1
-                    queue.append(w)
-        if reached < nverts:
-            return INFINITE
-        worst = max(worst, ecc)
-    return worst
+    for first in range(0, nverts, ROOT_BLOCK):
+        width = min(ROOT_BLOCK, nverts - first)
+        frontier = [0] * nverts
+        for k in range(width):
+            frontier[first + k] = 1 << k
+        seen = frontier[:]
+        depth = 0
+        while True:
+            nxt = [0] * nverts
+            for v, nbrs in enumerate(adj):
+                reach = twice = 0
+                for u in nbrs:
+                    bits = frontier[u]
+                    twice |= reach & bits
+                    reach |= bits
+                new = reach & ~seen[v]
+                if new:
+                    nxt[v] = new
+                    seen[v] |= new
+                    if twice & new:
+                        best_girth = min(best_girth, 2 * (depth + 1))
+            if not any(nxt):
+                break
+            frontier = nxt
+            depth += 1
+        full = (1 << width) - 1
+        worst = max(worst, depth if all(s == full for s in seen) else INFINITE)
+    return best_girth, worst
+
+
+def girth(h: SparseBitMatrix):
+    """Length of the shortest cycle in the Tanner graph of h; infinity for forests."""
+    return _all_roots_bfs(h)[0]
+
+
+def diameter(h: SparseBitMatrix):
+    """Maximum eccentricity in the Tanner graph of h; infinity when disconnected."""
+    return _all_roots_bfs(h)[1]
 
 
 def point_graph_components(space: SymSpace) -> int:

@@ -53,6 +53,16 @@ def test_alist_parse_error_carries_line_number(tmp_path):
         read_alist(path)
 
 
+def test_analyze_rejects_repeated_row_index(tmp_path, capsys):
+    path = tmp_path / "dup.alist"
+    path.write_text("2 1\n2 2\n2 1\n2\n1 1\n1 0\n1 2\n")
+    rc = main(["analyze", "--infile", str(path), "--checks", "rank"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "dup.alist:5" in err
+
+
 def test_build_writes_alist_and_metadata(tmp_path):
     out = tmp_path / "h22.alist"
     rc = main(

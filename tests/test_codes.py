@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from symldpc import (
@@ -111,6 +116,32 @@ def test_certified_distance_for_transpose_family(ct24):
 def test_certified_distance_agrees_with_enumeration(ct22, ct23):
     for code in (ct22, ct23):
         assert certified_min_distance(code).value == min_distance(code.h).value
+
+
+def test_certified_distance_rejects_wrong_witness_under_optimize():
+    # -O strips asserts, so the certificate check must be a real raise
+    script = """
+import sys
+import symldpc.codes as c
+from symldpc.exceptions import StructureViolationError
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+code = c.make_code(c.FAMILY_TRANSPOSE, 2, 3)
+c.ctranspose_witness = lambda n, q: frozenset(range(2 * q))
+try:
+    c.certified_min_distance(code)
+except StructureViolationError:
+    print("refused")
+else:
+    print("certified")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 def test_certified_distance_not_applicable_for_symmetric(c22):

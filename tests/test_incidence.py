@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symldpc import (
-    BipartiteGraph,
     SparseBitMatrix,
     build_h,
     diameter,
@@ -10,9 +11,66 @@ from symldpc import (
     sym_space,
     verify_structure,
 )
+from symldpc import incidence
 from symldpc.exceptions import StructureViolationError, TooLargeError
 
 INF = float("inf")
+
+
+def _adjacency(h):
+    """Rows are vertices 0..nrows-1, columns follow."""
+    adj = [[h.nrows + j for j in row] for row in h.row_support]
+    adj.extend(list(col) for col in h.col_support)
+    return adj
+
+
+def reference_girth(h):
+    """Per-root BFS oracle: a non-tree edge between depths d1 and d2 closes
+    a cycle of length d1 + d2 + 1 through the root."""
+    adj = _adjacency(h)
+    best = INF
+    for root in range(len(adj)):
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+    return best
+
+
+def reference_diameter(h):
+    """Per-root BFS oracle: maximum eccentricity, infinity when disconnected."""
+    adj = _adjacency(h)
+    worst = 0
+    for root in range(len(adj)):
+        dist = {root: 0}
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if len(dist) < len(adj):
+            return INF
+        worst = max(worst, max(dist.values()))
+    return worst
+
+
+@st.composite
+def bipartite_matrices(draw):
+    nrows = draw(st.integers(0, 10))
+    ncols = draw(st.integers(0, 10))
+    rows = [
+        sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)) if ncols else [])
+        for _ in range(nrows)
+    ]
+    return SparseBitMatrix.from_rows(nrows, ncols, rows)
 
 
 @pytest.mark.parametrize(
@@ -71,20 +129,37 @@ def test_structure_catches_perturbation():
 
 
 def test_girth_synthetic_graphs():
-    four_cycle = BipartiteGraph(left=2, right=2, edges=((0, 0), (0, 1), (1, 0), (1, 1)))
+    four_cycle = SparseBitMatrix.from_rows(2, 2, [(0, 1), (0, 1)])
     assert girth(four_cycle) == 4
-    six_cycle = BipartiteGraph(
-        left=3, right=3, edges=((0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0))
-    )
+    six_cycle = SparseBitMatrix.from_rows(3, 3, [(0, 1), (1, 2), (0, 2)])
     assert girth(six_cycle) == 6
-    tree = BipartiteGraph(left=2, right=3, edges=((0, 0), (0, 1), (1, 1), (1, 2)))
+    tree = SparseBitMatrix.from_rows(2, 3, [(0, 1), (1, 2)])
     assert girth(tree) == INF
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_girth_of_built_instances(n, q):
-    g = BipartiteGraph.from_matrix(build_h(sym_space(n, q)))
-    assert girth(g) == 8
+    assert girth(build_h(sym_space(n, q))) == 8
+
+
+@given(bipartite_matrices())
+@settings(max_examples=200, deadline=None)
+@example(SparseBitMatrix.from_rows(0, 0, []))  # empty graph
+@example(SparseBitMatrix.from_rows(1, 0, [()]))  # single vertex
+@example(SparseBitMatrix.from_rows(3, 4, [(0, 1), (1, 2), (3,)]))  # forest
+@example(SparseBitMatrix.from_rows(4, 4, [(0, 1), (0, 1), (2, 3), (2, 3)]))  # two 4-cycles
+def test_bfs_matches_per_root_oracle(h):
+    assert girth(h) == reference_girth(h)
+    assert diameter(h) == reference_diameter(h)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_bfs_root_blocks_split(monkeypatch, n, q):
+    h = build_h(sym_space(n, q))
+    monkeypatch.setattr(incidence, "ROOT_BLOCK", 7)
+    for m in (h, h.transpose()):
+        assert girth(m) == reference_girth(m)
+        assert diameter(m) == reference_diameter(m)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
@@ -109,10 +184,10 @@ def test_expected_eight_cycle_is_present(n, q):
 
 
 def test_diameter_small_instances():
-    assert diameter(BipartiteGraph.from_matrix(build_h(sym_space(2, 2)))) == 6
-    path = BipartiteGraph(left=2, right=1, edges=((0, 0), (1, 0)))
+    assert diameter(build_h(sym_space(2, 2))) == 6
+    path = SparseBitMatrix.from_rows(2, 1, [(0,), (0,)])
     assert diameter(path) == 2
-    disconnected = BipartiteGraph(left=2, right=2, edges=((0, 0), (1, 1)))
+    disconnected = SparseBitMatrix.from_rows(2, 2, [(0,), (1,)])
     assert diameter(disconnected) == INF
 
 
@@ -124,7 +199,7 @@ def test_point_graph_is_connected(n, q):
 def test_caps_reject_runaway_instances():
     with pytest.raises(TooLargeError):
         build_h(sym_space(4, 4))
-    huge = BipartiteGraph(left=1 << 20, right=1, edges=())
+    huge = SparseBitMatrix(nrows=1 << 20, ncols=1, row_support=(), col_support=())
     with pytest.raises(TooLargeError):
         girth(huge)
     with pytest.raises(TooLargeError):
