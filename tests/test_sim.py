@@ -107,3 +107,25 @@ def test_csv_output_shape_and_determinism(ct22):
     assert parsed[1][0] == "CT(2,2)"
     assert parsed[1][1] == "bec"
     assert float(parsed[1][2]) == 0.1
+
+
+# (word_errors, bit_errors) at seed 2026, 2000 trials, threads=1.  Any change
+# to the decoder numerics or the noise stream shows up here; re-bless only
+# with an explanation of why the counts moved.
+GOLDEN_COUNTS = {
+    ("CT(2,2)", "awgn", 1.0): (281, 1246),
+    ("CT(2,2)", "awgn", 4.0): (33, 138),
+    ("CT(2,2)", "bec", 0.3): (106, 509),
+    ("C(2,4)", "awgn", 1.0): (310, 5926),
+    ("C(2,4)", "awgn", 4.0): (5, 105),
+    ("C(2,4)", "bec", 0.3): (0, 0),
+}
+
+
+@pytest.mark.parametrize("code_name", ["ct22", "c24"])
+def test_golden_counts(code_name, request):
+    code = request.getfixturevalue(code_name)
+    results = run_awgn_sweep(code, [1.0, 4.0], 2000, seed=2026, threads=1)
+    results += run_bec_sweep(code, [0.3], 2000, seed=2026, threads=1)
+    for r in results:
+        assert (r.word_errors, r.bit_errors) == GOLDEN_COUNTS[(r.code_id, r.channel, r.param)]
