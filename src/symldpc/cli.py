@@ -100,6 +100,11 @@ def read_alist(path) -> SparseBitMatrix:
         raise BadParametersError(f"{path}:3: expected {ncols} column weights")
     if len(row_weights) != nrows:
         raise BadParametersError(f"{path}:4: expected {nrows} row weights")
+    max_col, max_row = max(col_weights, default=0), max(row_weights, default=0)
+    if rows_of_ints[1] != [max_col, max_row]:
+        raise BadParametersError(
+            f"{path}:2: expected the max column and row weights {max_col} {max_row}"
+        )
     rows: list[list[int]] = [[] for _ in range(nrows)]
     for j in range(ncols):
         lineno = 5 + j
@@ -119,6 +124,11 @@ def read_alist(path) -> SparseBitMatrix:
     for i in range(nrows):
         lineno = 5 + ncols + i
         entries = [v for v in rows_of_ints[4 + ncols + i] if v != 0]
+        if len(entries) != row_weights[i]:
+            raise BadParametersError(
+                f"{path}:{lineno}: row {i} lists {len(entries)} columns, "
+                f"weight says {row_weights[i]}"
+            )
         if sorted(v - 1 for v in entries) != list(h.row_support[i]):
             raise BadParametersError(
                 f"{path}:{lineno}: row {i} support disagrees with the column lists"

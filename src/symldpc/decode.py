@@ -8,6 +8,12 @@ thousands of noise realizations per numpy call; each word's evolution is
 independent of the rest of the batch, so results never depend on how
 trials are grouped.
 
+Messages live in two padded layouts: the check side is (nonzero rows x max
+row weight) and the variable side is (columns x max column weight).  Slots
+past a node's degree read a sentinel row: v2c = +inf on the check side
+(tanh = 1, exact in the product), c2v = 0 and bit 0 on the variable side.
+Irregular graphs and unchecked columns thus need no separate code path.
+
 Convention: BPSK maps bit 0 to +1 and bit 1 to -1, and the channel LLR of
 a received amplitude y is 2y/sigma^2 (positive means bit 0 more likely).
 """
@@ -60,38 +66,33 @@ class DecodeOutcome:
 
 
 class SumProductDecoder:
-    """Flooding sum-product decoder bound to one parity-check matrix."""
+    """Flooding sum-product decoder bound to one parity-check matrix.
+
+    check_side[c, k] holds the variable-side slot j * col_wt + k' of check
+    c's k-th edge, and var_side[j, k'] the check-side slot c * row_wt + k of
+    the same edge.  Padding points at the sentinel slot past the other side.
+    """
 
     def __init__(self, h):
-        degrees = [len(r) for r in h.row_support]
         # zero-weight rows impose no constraint and are dropped from the graph
         rows = [r for r in h.row_support if r]
-        self.nrows = h.nrows
+        var_of_edge = np.array([j for r in rows for j in r], dtype=np.int64)
+        row_deg = np.array([len(r) for r in rows], dtype=np.int64)
+        col_deg = np.bincount(var_of_edge, minlength=h.ncols)
+        # width >= 1 on the variable side, so a graph without edges needs no
+        # special case: its columns read only the c2v = 0 sentinel
+        row_wt, col_wt = row_deg.max(initial=0), col_deg.max(initial=1)
         self.ncols = h.ncols
-        var_cm = np.array([j for r in rows for j in r], dtype=np.int64)
-        self.var_cm = var_cm
-        self.n_edges = len(var_cm)
-        self.check_degrees = np.array([len(r) for r in rows], dtype=np.int64)
-        self.check_starts = np.concatenate(
-            ([0], np.cumsum(self.check_degrees)[:-1])
-        ).astype(np.int64)
-        check_cm = np.repeat(np.arange(len(rows), dtype=np.int64), self.check_degrees)
-        # variable-major ordering of the same edges
-        order = np.lexsort((check_cm, var_cm))
-        self.to_vm = order
-        self.from_vm = np.argsort(order, kind="stable")
-        var_vm = var_cm[order]
-        self.var_degrees = np.bincount(var_cm, minlength=h.ncols).astype(np.int64)
-        if np.any(self.var_degrees == 0):
-            # unchecked bits keep their channel decision; edges exist only for
-            # checked bits, so reduceat needs the nonempty-variable compaction
-            self.checked_vars = np.flatnonzero(self.var_degrees > 0)
-        else:
-            self.checked_vars = np.arange(h.ncols, dtype=np.int64)
-        nz_deg = self.var_degrees[self.checked_vars]
-        self.var_starts = np.concatenate(([0], np.cumsum(nz_deg)[:-1])).astype(np.int64)
-        self.var_vm = var_vm
-        self._nz_deg = nz_deg
+        self.n_edges = len(var_of_edge)
+        self.check_side = np.full((len(rows), row_wt), h.ncols * col_wt)
+        self.var_side = np.full((h.ncols, col_wt), len(rows) * row_wt)
+        # real slots in row-major order list the edges check-major on the
+        # check side, variable-major (ascending check) on the variable side
+        check_slot = np.flatnonzero(np.arange(row_wt) < row_deg[:, None])
+        var_slot = np.flatnonzero(np.arange(col_wt) < col_deg[:, None])
+        check_slot = check_slot[np.argsort(var_of_edge, kind="stable")]
+        self.check_side.flat[check_slot] = var_slot
+        self.var_side.flat[var_slot] = check_slot
 
     def decode_batch(
         self, llrs: np.ndarray, max_iters: int = DEFAULT_MAX_ITERS
@@ -111,86 +112,71 @@ class SumProductDecoder:
         if max_iters < 1:
             raise BadParametersError("max_iters must be >= 1")
         batch = llrs.shape[0]
-        llrs = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
-
         bits_out = np.zeros((batch, self.ncols), dtype=np.uint8)
         iters_out = np.full(batch, max_iters, dtype=np.int32)
         converged = np.zeros(batch, dtype=bool)
 
-        if self.n_edges == 0:
-            bits_out[:] = llrs < 0.0
-            iters_out[:] = 1
-            converged[:] = True
-            return bits_out, converged, iters_out
-
+        col_wt = self.var_side.shape[1]
+        var_of_check_slot = self.check_side // col_wt  # sentinel -> ncols
         active = np.arange(batch)
-        llr_t = np.ascontiguousarray(llrs.T)  # (n, B)
-        v2c = llr_t[self.var_cm]  # check-major (E, B)
+        llr_t = np.ascontiguousarray(np.clip(llrs, -LLR_CLIP, LLR_CLIP).T)  # (n, B)
+        post = llr_t
+        c2v_var = np.zeros((*self.var_side.shape, batch))
         tanh_cap = np.tanh(0.5 * LLR_CLIP)
 
         for it in range(1, max_iters + 1):
-            t = np.tanh(0.5 * v2c)
+            b = len(active)
+            v2c = np.empty((self.var_side.size + 1, b))
+            v2c[-1] = np.inf  # tanh(inf) = 1 leaves the check product exact
+            out = v2c[:-1].reshape(c2v_var.shape)
+            np.clip(post[:, None] - c2v_var, -LLR_CLIP, LLR_CLIP, out=out)
+
+            t = np.tanh(0.5 * v2c[self.check_side])  # (checks, row_wt, B)
             zero = t == 0.0
             t_nz = np.where(zero, 1.0, t)
-            prod_nz = np.multiply.reduceat(t_nz, self.check_starts, axis=0)
-            zcnt = np.add.reduceat(zero.astype(np.int32), self.check_starts, axis=0)
-            prod_e = np.repeat(prod_nz, self.check_degrees, axis=0)
-            zcnt_e = np.repeat(zcnt, self.check_degrees, axis=0)
+            prod = np.multiply.reduce(t_nz, axis=1, keepdims=True)
+            zcnt = np.count_nonzero(zero, axis=1, keepdims=True)
             loo = np.where(
-                zcnt_e == 0,
-                prod_e / t_nz,
-                np.where((zcnt_e == 1) & zero, prod_e, 0.0),
+                zcnt == 0,
+                prod / t_nz,
+                np.where((zcnt == 1) & zero, prod, 0.0),
             )
             np.clip(loo, -tanh_cap, tanh_cap, out=loo)
-            c2v = 2.0 * np.arctanh(loo)
+            c2v = np.zeros((self.check_side.size + 1, b))  # sentinel row: c2v = 0
+            np.multiply(2.0, np.arctanh(loo), out=c2v[:-1].reshape(loo.shape))
 
-            c2v_vm = c2v[self.to_vm]
-            sums = np.add.reduceat(c2v_vm, self.var_starts, axis=0)  # (nv, B)
-            post = llr_t.copy()
-            post[self.checked_vars] += sums
-            bits = (post < 0.0).astype(np.uint8)  # (n, B)
-
-            par = np.add.reduceat(
-                bits[self.var_cm].astype(np.int32), self.check_starts, axis=0
-            )
-            ok = ~np.any(par & 1, axis=0)
+            c2v_var = c2v[self.var_side]  # (n, col_wt, B)
+            # x0 + ((x1 + x2) + ...) matches the reference decoder in the tests
+            # bit for bit up to column weight 8; zero padding leaves it exact
+            tail = sum((c2v_var[:, k] for k in range(1, col_wt)), -0.0)
+            post = llr_t + (c2v_var[:, 0] + tail)
+            bits = np.zeros((self.ncols + 1, b), dtype=np.uint8)  # sentinel: bit 0
+            bits[:-1] = post < 0.0
+            parity = np.bitwise_xor.reduce(bits[var_of_check_slot], axis=1)
+            ok = ~np.any(parity, axis=0)
 
             # `active` columns map back to original trial indices
             newly = np.flatnonzero(ok)
             if newly.size:
                 orig = active[newly]
-                bits_out[orig] = bits[:, newly].T
+                bits_out[orig] = bits[:-1, newly].T
                 iters_out[orig] = it
                 converged[orig] = True
             if newly.size == ok.size:
                 return bits_out, converged, iters_out
             if it == max_iters:
                 rest = np.flatnonzero(~ok)
-                bits_out[active[rest]] = bits[:, rest].T
+                bits_out[active[rest]] = bits[:-1, rest].T
                 return bits_out, converged, iters_out
 
-            keep = np.flatnonzero(~ok)
             if newly.size:
+                keep = np.flatnonzero(~ok)
                 active = active[keep]
                 llr_t = llr_t[:, keep]
-                c2v_vm = c2v_vm[:, keep]
-                sums = sums[:, keep]
-
-            sums_e = np.repeat(sums, self._nz_deg, axis=0)
-            v2c_vm = llr_t[self.var_vm] + sums_e - c2v_vm
-            np.clip(v2c_vm, -LLR_CLIP, LLR_CLIP, out=v2c_vm)
-            v2c = v2c_vm[self.from_vm]
+                post = post[:, keep]
+                c2v_var = c2v_var[..., keep]
 
         raise AssertionError("unreachable")
-
-    def decode(self, llr, max_iters: int = DEFAULT_MAX_ITERS):
-        llr = np.asarray(llr, dtype=np.float64)
-        if llr.ndim != 1 or llr.shape[0] != self.ncols:
-            raise LengthMismatchError(
-                f"llr must have length {self.ncols}, got shape {llr.shape}"
-            )
-        bits, conv, iters = self.decode_batch(llr[None, :], max_iters)
-        return bits[0], bool(conv[0]), int(iters[0])
 
 
 def _syndrome_ok(h, word: np.ndarray) -> bool:
@@ -201,13 +187,17 @@ def bp_decode_awgn(
     code: CodeSpec, llr, max_iters: int = DEFAULT_MAX_ITERS
 ) -> DecodeOutcome:
     """Sum-product decode of one word of channel LLRs."""
-    decoder = SumProductDecoder(code.h)
-    word, conv, iters = decoder.decode(llr, max_iters)
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim != 1 or llr.shape[0] != code.length:
+        raise LengthMismatchError(
+            f"llr must have length {code.length}, got shape {llr.shape}"
+        )
+    bits, conv, iters = SumProductDecoder(code.h).decode_batch(llr[None, :], max_iters)
     return DecodeOutcome(
-        status=STATUS_CONVERGED if conv else STATUS_MAX_ITERS,
-        word=word,
-        iterations=iters,
-        syndrome_ok=_syndrome_ok(code.h, word),
+        status=STATUS_CONVERGED if conv[0] else STATUS_MAX_ITERS,
+        word=bits[0],
+        iterations=int(iters[0]),
+        syndrome_ok=_syndrome_ok(code.h, bits[0]),
     )
 
 

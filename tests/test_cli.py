@@ -53,6 +53,25 @@ def test_alist_parse_error_carries_line_number(tmp_path):
         read_alist(path)
 
 
+def test_alist_rejects_row_weight_disagreeing_with_row_line(tmp_path):
+    # row 0 lists one column, but line 4 declares weight 7 (line 2 agrees)
+    path = tmp_path / "bad.alist"
+    path.write_text("2 1\n1 7\n1 0\n7\n1\n0\n1\n")
+    with pytest.raises(BadParametersError, match=r"bad\.alist:7: row 0 lists 1 columns"):
+        read_alist(path)
+
+
+@pytest.mark.parametrize("line2", ["1 2", "2 1", "1", "1 1 1"])
+def test_alist_rejects_max_weights_disagreeing_with_weights(tmp_path, line2):
+    # the matrix [[1, 0], [1, 1]] has max column weight 2 and max row weight 2
+    path = tmp_path / "bad.alist"
+    path.write_text(f"2 2\n{line2}\n2 1\n1 2\n1 2\n2 0\n1 0\n1 2\n")
+    with pytest.raises(BadParametersError, match=r"bad\.alist:2:"):
+        read_alist(path)
+    path.write_text("2 2\n2 2\n2 1\n1 2\n1 2\n2 0\n1 0\n1 2\n")
+    assert read_alist(path) == SparseBitMatrix.from_rows(2, 2, [(0,), (0, 1)])
+
+
 def test_analyze_rejects_repeated_row_index(tmp_path, capsys):
     path = tmp_path / "dup.alist"
     path.write_text("2 1\n2 2\n2 1\n2\n1 1\n1 0\n1 2\n")

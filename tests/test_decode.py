@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symldpc import (
     AwgnChannel,
@@ -10,12 +12,13 @@ from symldpc import (
     run_awgn_sweep,
 )
 from symldpc.codes import ctranspose_witness
-from symldpc.decode import ERASED, LLR_CLIP
+from symldpc.decode import DEFAULT_MAX_ITERS, ERASED, LLR_CLIP
 from symldpc.exceptions import (
     BadParametersError,
     InconsistentError,
     LengthMismatchError,
 )
+from symldpc.incidence import SparseBitMatrix
 
 
 def _codewords(code):
@@ -75,13 +78,184 @@ def test_sign_flip_symmetry(ct22):
 def test_batch_matches_single_decodes(ct22):
     rng = np.random.default_rng(3)
     llrs = rng.normal(loc=2.0, scale=2.0, size=(40, 12))
-    dec = SumProductDecoder(ct22.h)
-    bits, conv, iters = dec.decode_batch(llrs)
+    bits, conv, iters = SumProductDecoder(ct22.h).decode_batch(llrs)
     for t in range(40):
-        w, c, i = dec.decode(llrs[t])
-        assert np.array_equal(w, bits[t])
-        assert c == conv[t]
-        assert i == iters[t]
+        out = bp_decode_awgn(ct22, llrs[t])
+        assert np.array_equal(out.word, bits[t])
+        assert (out.status == "converged") == conv[t]
+        assert out.iterations == iters[t]
+
+
+class ReferenceDecoder:
+    """The CSR + reduceat sum-product decoder, kept as the oracle.
+
+    Edges are stored check-major with a permutation to variable-major
+    order; per-node sums and products are `reduceat` over the CSR starts,
+    and columns of weight zero are compacted out of the variable sums.
+    """
+
+    def __init__(self, h):
+        rows = [r for r in h.row_support if r]
+        self.ncols = h.ncols
+        var_cm = np.array([j for r in rows for j in r], dtype=np.int64)
+        self.var_cm = var_cm
+        self.n_edges = len(var_cm)
+        self.check_degrees = np.array([len(r) for r in rows], dtype=np.int64)
+        self.check_starts = np.concatenate(
+            ([0], np.cumsum(self.check_degrees)[:-1])
+        ).astype(np.int64)
+        check_cm = np.repeat(np.arange(len(rows), dtype=np.int64), self.check_degrees)
+        order = np.lexsort((check_cm, var_cm))
+        self.to_vm = order
+        self.from_vm = np.argsort(order, kind="stable")
+        self.var_vm = var_cm[order]
+        var_degrees = np.bincount(var_cm, minlength=h.ncols).astype(np.int64)
+        self.checked_vars = np.flatnonzero(var_degrees > 0)
+        self.nz_deg = var_degrees[self.checked_vars]
+        self.var_starts = np.concatenate(([0], np.cumsum(self.nz_deg)[:-1])).astype(np.int64)
+
+    def check_update(self, v2c):
+        """Check-major c2v messages from check-major v2c messages."""
+        t = np.tanh(0.5 * v2c)
+        zero = t == 0.0
+        t_nz = np.where(zero, 1.0, t)
+        prod_nz = np.multiply.reduceat(t_nz, self.check_starts, axis=0)
+        zcnt = np.add.reduceat(zero.astype(np.int32), self.check_starts, axis=0)
+        prod_e = np.repeat(prod_nz, self.check_degrees, axis=0)
+        zcnt_e = np.repeat(zcnt, self.check_degrees, axis=0)
+        loo = np.where(
+            zcnt_e == 0,
+            prod_e / t_nz,
+            np.where((zcnt_e == 1) & zero, prod_e, 0.0),
+        )
+        tanh_cap = np.tanh(0.5 * LLR_CLIP)
+        np.clip(loo, -tanh_cap, tanh_cap, out=loo)
+        return 2.0 * np.arctanh(loo)
+
+    def decode_batch(self, llrs, max_iters=DEFAULT_MAX_ITERS):
+        batch = llrs.shape[0]
+        llrs = np.clip(llrs, -LLR_CLIP, LLR_CLIP)
+        bits_out = np.zeros((batch, self.ncols), dtype=np.uint8)
+        iters_out = np.full(batch, max_iters, dtype=np.int32)
+        converged = np.zeros(batch, dtype=bool)
+        if self.n_edges == 0:
+            bits_out[:] = llrs < 0.0
+            iters_out[:] = 1
+            converged[:] = True
+            return bits_out, converged, iters_out
+
+        active = np.arange(batch)
+        llr_t = np.ascontiguousarray(llrs.T)
+        v2c = llr_t[self.var_cm]
+        for it in range(1, max_iters + 1):
+            c2v_vm = self.check_update(v2c)[self.to_vm]
+            sums = np.add.reduceat(c2v_vm, self.var_starts, axis=0)
+            post = llr_t.copy()
+            post[self.checked_vars] += sums
+            bits = (post < 0.0).astype(np.uint8)
+            par = np.add.reduceat(
+                bits[self.var_cm].astype(np.int32), self.check_starts, axis=0
+            )
+            ok = ~np.any(par & 1, axis=0)
+
+            newly = np.flatnonzero(ok)
+            if newly.size:
+                orig = active[newly]
+                bits_out[orig] = bits[:, newly].T
+                iters_out[orig] = it
+                converged[orig] = True
+            if newly.size == ok.size:
+                return bits_out, converged, iters_out
+            if it == max_iters:
+                rest = np.flatnonzero(~ok)
+                bits_out[active[rest]] = bits[:, rest].T
+                return bits_out, converged, iters_out
+
+            keep = np.flatnonzero(~ok)
+            if newly.size:
+                active = active[keep]
+                llr_t = llr_t[:, keep]
+                c2v_vm = c2v_vm[:, keep]
+                sums = sums[:, keep]
+            sums_e = np.repeat(sums, self.nz_deg, axis=0)
+            v2c_vm = llr_t[self.var_vm] + sums_e - c2v_vm
+            np.clip(v2c_vm, -LLR_CLIP, LLR_CLIP, out=v2c_vm)
+            v2c = v2c_vm[self.from_vm]
+        raise AssertionError("unreachable")
+
+
+def _assert_same_decodes(h, llrs, max_iters, split=None):
+    ref = ReferenceDecoder(h).decode_batch(llrs, max_iters)
+    dec = SumProductDecoder(h)
+    if split is None:
+        got = dec.decode_batch(llrs, max_iters)
+    else:
+        parts = [dec.decode_batch(part, max_iters) for part in (llrs[:split], llrs[split:])]
+        got = tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    for want, have in zip(ref, got):
+        assert want.dtype == have.dtype
+        assert np.array_equal(want, have)
+
+
+_LLR = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -LLR_CLIP, LLR_CLIP, -1e9, 1e9]),
+    st.floats(-40.0, 40.0, allow_nan=False),
+)
+
+
+@st.composite
+def _decode_cases(draw):
+    # at most 8 rows: up to column weight 8 both decoders sum in the same order
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    rows = [
+        sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)))
+        for _ in range(nrows)
+    ]
+    batch = draw(st.integers(1, 12))
+    llrs = draw(st.lists(_LLR, min_size=batch * ncols, max_size=batch * ncols))
+    return (
+        SparseBitMatrix.from_rows(nrows, ncols, rows),
+        np.array(llrs, dtype=np.float64).reshape(batch, ncols),
+        draw(st.integers(1, 5)),
+        draw(st.none() | st.integers(0, batch)),
+    )
+
+
+@given(_decode_cases())
+@settings(max_examples=300, deadline=None)
+@example(
+    (
+        # a zero-weight row, an unchecked column, degrees 1 and 2, zero LLRs
+        SparseBitMatrix.from_rows(3, 4, [(0, 1), (), (1, 2)]),
+        np.array([[0.0, -1.0, 0.5, 2.0], [0.0, 0.0, -0.3, 0.0]]),
+        5,
+        1,
+    )
+)
+def test_decode_batch_matches_reference(case):
+    _assert_same_decodes(*case)
+
+
+@pytest.mark.parametrize("code_name", ["c22", "ct22", "c24", "ct24"])
+def test_decode_batch_matches_reference_on_geometry_codes(code_name, request):
+    code = request.getfixturevalue(code_name)
+    rng = np.random.default_rng(11)
+    llrs = 2.0 + 1.5 * rng.standard_normal((300, code.length))
+    _assert_same_decodes(code.h, 4.0 * llrs / 1.5**2, DEFAULT_MAX_ITERS, split=123)
+
+    # Near-ties: set word w's LLR at one column to minus the oracle's sum of
+    # first-iteration messages into that column.  Those messages depend on
+    # the column's own LLR only through the leave-one-out division, so the
+    # posterior lands within a few ulps of 0 and a single rounding change in
+    # the check update or the column sum flips the bit about half the time.
+    ref = ReferenceDecoder(code.h)
+    llrs = rng.standard_normal((300, code.length))
+    c2v_vm = ref.check_update(llrs.T[ref.var_cm])[ref.to_vm]
+    sums = np.add.reduceat(c2v_vm, ref.var_starts, axis=0)  # every column is checked
+    words, cols = np.arange(300), rng.integers(code.length, size=300)
+    llrs[words, cols] = -sums[cols, words]
+    _assert_same_decodes(code.h, llrs, 1)
 
 
 def test_decoder_input_validation(ct22):
@@ -167,3 +341,15 @@ def test_peel_input_validation(ct22):
         peel_decode_bec(ct22, [0] * 11)
     with pytest.raises(BadParametersError):
         peel_decode_bec(ct22, [0] * 11 + [7])
+
+
+def test_decode_batch_agrees_with_reference_above_weight_8():
+    # C(2,8) has column weight 9, where the reference's numpy segment sum
+    # switches to 8-way pairwise summation; the decoder sums in column order,
+    # so posteriors may differ in the last ulp but decisions on noise agree
+    from symldpc import FAMILY_SYMMETRIC, make_code
+
+    code = make_code(FAMILY_SYMMETRIC, 2, 8)
+    rng = np.random.default_rng(5)
+    llrs = 2.0 * (1.0 + 0.9 * rng.standard_normal((200, code.length))) / 0.9**2
+    _assert_same_decodes(code.h, llrs, DEFAULT_MAX_ITERS, split=77)

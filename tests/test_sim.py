@@ -128,4 +128,5 @@ def test_golden_counts(code_name, request):
     results = run_awgn_sweep(code, [1.0, 4.0], 2000, seed=2026, threads=1)
     results += run_bec_sweep(code, [0.3], 2000, seed=2026, threads=1)
     for r in results:
-        assert (r.word_errors, r.bit_errors) == GOLDEN_COUNTS[(r.code_id, r.channel, r.param)]
+        key = (r.code_id, r.channel, r.param)
+        assert (r.word_errors, r.bit_errors) == GOLDEN_COUNTS[key]
