@@ -45,9 +45,7 @@ class CodeSpec:
     code_id: str
     n: int | None = None
     q: int | None = None
-    space: SymSpace | None = None
     labels: dict[str, str] | None = None
-    gallager_params: tuple[int, int, int, int] | None = None
     _girth: object = field(default=None, repr=False)
 
     @property
@@ -86,7 +84,6 @@ def make_code(family: str, n: int, q: int) -> CodeSpec:
         code_id=code_id,
         n=n,
         q=q,
-        space=space,
         labels=labels,
     )
 
@@ -102,10 +99,10 @@ def ctranspose_witness(n: int, q: int) -> frozenset[int]:
     space = sym_space(n, q)
     witness = set()
     for x in range(q):
-        sweep_first = sorted(space.corner(y, 0, x).index for y in range(q))
-        sweep_second = sorted(space.corner(x, 0, y).index for y in range(q))
-        witness.add(space.line_index(sweep_first))
-        witness.add(space.line_index(sweep_second))
+        sweep_first = space.line_through(space.corner(0, 0, x), space.corner(1, 0, x))
+        sweep_second = space.line_through(space.corner(x, 0, 0), space.corner(x, 0, 1))
+        witness.add(space.line_index(sweep_first.points))
+        witness.add(space.line_index(sweep_second.points))
     if len(witness) != 2 * q or not gf2.columns_sum_zero(build_h(space).transpose(), witness):
         raise StructureViolationError(
             f"CT({n},{q}): the {len(witness)} witness lines are not 2q dependent columns"
@@ -140,9 +137,14 @@ def c2q_witness(q: int) -> frozenset[int]:
         pts.add(space.corner(0, t, t2p1).index)
         pts.add(space.corner(0, t, t2).index)
         pts.add(space.corner(1, t, t2p1).index)
-    assert len(pts) == 4 * q
+    if len(pts) != 4 * q:
+        raise StructureViolationError(f"c2q witness has {len(pts)} points, expected 4q")
     for line in space.lines():
-        assert len(pts.intersection(line.points)) in (0, 2)
+        meets = len(pts.intersection(line.points))
+        if meets not in (0, 2):
+            raise StructureViolationError(
+                f"line {line.index} meets the c2q witness in {meets} points, expected 0 or 2"
+            )
     return frozenset(pts)
 
 
@@ -164,10 +166,13 @@ def independent_row_family(n: int, q: int) -> frozenset[int]:
                 continue
             if any(space.entry(s, j, j) == 0 for j in range(1, i)):
                 continue
-            members = sorted(space.add(s, space.scale(x, unit)).index for x in range(q))
-            selected.add(space.line_index(members))
+            line = space.line_through(s, space.add(s, unit))
+            selected.add(space.line_index(line.points))
     expected = q ** ((n * n - n) // 2) * (q**n - (q - 1) ** n)
-    assert len(selected) == expected
+    if len(selected) != expected:
+        raise StructureViolationError(
+            f"independent row family has {len(selected)} lines, expected {expected}"
+        )
     return frozenset(selected)
 
 
@@ -235,12 +240,12 @@ def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpe
         for r in range(band_rows):
             rows.append(tuple(sorted(int(c) for c in perm[r * row_wt : (r + 1) * row_wt])))
     h = SparseBitMatrix.from_rows(nrows, length, rows)
-    assert all(len(c) == col_wt for c in h.col_support)
+    if any(len(c) != col_wt for c in h.col_support):
+        raise StructureViolationError(f"band ensemble column weight is not {col_wt}")
     return CodeSpec(
         family=FAMILY_GALLAGER,
         h=h,
         length=length,
         dimension=gf2.code_dimension(h),
         code_id=f"G({length},{col_wt},{row_wt},s{seed})",
-        gallager_params=(length, col_wt, row_wt, seed),
     )

@@ -162,7 +162,8 @@ def _min_weight_enumeration(basis: list[int]) -> tuple[int, int]:
         if w and (best_w is None or w < best_w):
             best_w = w
             best_cw = cw
-    assert best_w is not None
+    if best_w is None:
+        raise StructureViolationError("null-space basis spans no nonzero codeword")
     return best_w, best_cw
 
 

@@ -95,7 +95,8 @@ def _words_per_trial(count: int) -> int:
 
 def _uniforms(seed: int, cell: int, start_word: int, nwords: int) -> np.ndarray:
     """Open-interval (0,1) doubles from the (seed, cell) Philox stream."""
-    assert start_word % 4 == 0
+    if start_word % 4:
+        raise BadParametersError(f"start word {start_word} is not on a Philox block boundary")
     key = ((seed & _MASK64) << 64) | (cell & _MASK64)
     bg = np.random.Philox(key=key)
     bg.advance(start_word // 4)

@@ -25,13 +25,14 @@ from .exceptions import (
     EmptyInputError,
     NotAdjacentError,
     NotInvertibleError,
+    StructureViolationError,
     TooLargeError,
 )
 from .gf import FieldTable, field_of_size
 
-# graph_distance / neighbourhood BFS refuses spaces larger than this
+# the point-graph BFS (distance_layers) refuses spaces larger than this
 BFS_POINT_CAP = 1 << 22
-# enumerate_lines refuses instances with more lines than this
+# lines() refuses instances with more lines than this
 LINE_CAP = 1 << 22
 
 
@@ -80,7 +81,6 @@ class SymSpace:
         self.q = fld.q
         self.dim = n * (n + 1) // 2
         self.size = self.q**self.dim
-        self._powers = [self.q**i for i in range(self.dim)]
         self._coords = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         self._pos = {c: k for k, c in enumerate(self._coords)}
         self._rank_one: tuple[tuple[int, ...], ...] | None = None
@@ -263,30 +263,34 @@ class SymSpace:
             out.append(self._index_of(tuple(tbl[a][b] for a, b in zip(ent, d))))
         return out
 
-    def graph_distance(self, s1: SymPoint, s2: SymPoint) -> int:
-        """Shortest-path length in the rank-1 adjacency graph, by BFS."""
-        self._check_point(s1)
-        self._check_point(s2)
+    def distance_layers(self, s: SymPoint):
+        """Yield the index lists of the points at graph distance 0, 1, 2, ... from s.
+
+        This is the one BFS of the rank-1 adjacency graph; it stops after the
+        last nonempty layer of s's component.
+        """
+        self._check_point(s)
         if self.size > BFS_POINT_CAP:
             raise TooLargeError(f"{self.size} points exceeds BFS cap {BFS_POINT_CAP}")
-        if s1.index == s2.index:
-            return 0
-        target = s2.index
-        dist = {s1.index: 0}
-        frontier = [s1.index]
-        d = 0
-        while frontier:
-            d += 1
+        seen = {s.index}
+        layer = [s.index]
+        while layer:
+            yield layer
             nxt = []
-            for idx in frontier:
+            for idx in layer:
                 for nb in self.neighbor_indices(idx):
-                    if nb not in dist:
-                        if nb == target:
-                            return d
-                        dist[nb] = d
+                    if nb not in seen:
+                        seen.add(nb)
                         nxt.append(nb)
-            frontier = nxt
-        raise AssertionError("rank-1 graph is connected")  # unreachable
+            layer = nxt
+
+    def graph_distance(self, s1: SymPoint, s2: SymPoint) -> int:
+        """Shortest-path length in the rank-1 adjacency graph, by BFS."""
+        self._check_point(s2)
+        for d, layer in enumerate(self.distance_layers(s1)):
+            if s2.index in layer:
+                return d
+        raise StructureViolationError("rank-1 graph is disconnected")  # unreachable
 
     # -- rank-1 points and lines ------------------------------------------------
 
@@ -318,7 +322,8 @@ class SymSpace:
         """Entry vectors of all q^n - 1 rank-1 points."""
         if self._rank_one is None:
             ents = self._rank_one_entries_for(self.n)
-            assert len(ents) == self.q**self.n - 1
+            if len(ents) != self.q**self.n - 1:
+                raise StructureViolationError(f"{len(ents)} rank-1 points, expected q^n - 1")
             self._rank_one = tuple(ents)
         return self._rank_one
 
@@ -326,7 +331,8 @@ class SymSpace:
         """One rank-1 representative per scalar class: first nonzero entry is 1."""
         if self._directions is None:
             dirs = [e for e in self.rank_one_entries() if next(x for x in e if x) == 1]
-            assert len(dirs) == (self.q**self.n - 1) // (self.q - 1)
+            if len(dirs) != (self.q**self.n - 1) // (self.q - 1):
+                raise StructureViolationError(f"{len(dirs)} directions, expected (q^n - 1)/(q - 1)")
             self._directions = tuple(dirs)
         return self._directions
 
@@ -335,24 +341,11 @@ class SymSpace:
         self._check_point(s)
         if delta < 1:
             raise BadParametersError(f"delta must be >= 1, got {delta}")
-        shell = {self.point_at(nb) for nb in self.neighbor_indices(s.index)}
         if delta == 1:
-            return shell
-        if self.size > BFS_POINT_CAP:
-            raise TooLargeError(f"{self.size} points exceeds BFS cap {BFS_POINT_CAP}")
-        seen = {s.index} | {p.index for p in shell}
-        frontier = [p.index for p in shell]
-        out = set(shell)
-        for _ in range(delta - 1):
-            nxt = []
-            for idx in frontier:
-                for nb in self.neighbor_indices(idx):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-                        out.add(self.point_at(nb))
-            frontier = nxt
-        return out
+            # the shell alone needs no BFS, so it works past the BFS cap
+            return {self.point_at(nb) for nb in self.neighbor_indices(s.index)}
+        layers = itertools.islice(self.distance_layers(s), 1, delta + 1)
+        return {self.point_at(idx) for layer in layers for idx in layer}
 
     def common_deleted_neighbourhood(self, points) -> set[SymPoint]:
         """Intersection of the rank-1 shells of the given points."""
@@ -381,20 +374,24 @@ class SymSpace:
                 f"points differ by rank {self.rank(diff)}, need rank 1"
             )
         d_ent = self._normalize_direction(diff.entries)
-        tbl = self.field.add_table
-        members = []
-        for x in range(self.q):
-            xe = self.scale(x, SymPoint(self.n, self.q, d_ent, self._index_of(d_ent)))
-            members.append(
-                self._index_of(tuple(tbl[a][b] for a, b in zip(s2.entries, xe.entries)))
-            )
-        members = tuple(sorted(members))
-        idx = self._line_index.get(members) if self._line_index is not None else None
+        return self._line(self._line_members(s2.entries, d_ent), d_ent)
+
+    def _line_members(self, s_ent: tuple[int, ...], d_ent: tuple[int, ...]) -> tuple[int, ...]:
+        """Sorted point indices of the line {S + x*D : x in GF(q)}."""
+        add = self.field.add_table
+        mul = self.field.mul_table
+        return tuple(sorted(
+            self._index_of(tuple(add[a][mul[x][b]] for a, b in zip(s_ent, d_ent)))
+            for x in range(self.q)
+        ))
+
+    def _line(self, members: tuple[int, ...], d_ent: tuple[int, ...]) -> Line:
+        index = self._line_index.get(members) if self._line_index is not None else None
         return Line(
             base=self.point_at(members[0]),
             points=members,
             dir=SymPoint(self.n, self.q, d_ent, self._index_of(d_ent)),
-            index=idx,
+            index=index,
         )
 
     def line_count(self) -> int:
@@ -402,43 +399,31 @@ class SymSpace:
         return (self.q**self.n - 1) // (self.q - 1) * self.q ** ((self.n**2 + self.n - 2) // 2)
 
     def lines(self) -> tuple[Line, ...]:
-        """All lines exactly once, ordered lexicographically by member tuple."""
+        """All lines exactly once, ordered lexicographically by member tuple.
+
+        A line along D meets the points whose entry at D's leading position
+        k (where D has a 1) is 0 exactly once, at x = -S_k, so those q^(dim-1)
+        points enumerate the lines along D with no duplicates.
+        """
         if self._lines is not None:
             return self._lines
         total = self.line_count()
         if total > LINE_CAP:
             raise TooLargeError(f"{total} lines exceeds cap {LINE_CAP}")
-        tbl = self.field.add_table
         collected = []
         for d_ent in self.direction_entries():
-            d_pt = SymPoint(self.n, self.q, d_ent, self._index_of(d_ent))
-            mult_ents = [self.scale(x, d_pt).entries for x in range(self.q)]
-            for idx in range(self.size):
-                ent = self._entries_of(idx)
-                members = sorted(
-                    self._index_of(tuple(tbl[a][b] for a, b in zip(ent, me)))
-                    for me in mult_ents
-                )
-                if members[0] == idx:
-                    collected.append((tuple(members), d_ent))
-        collected.sort(key=lambda t: t[0])
-        assert len(collected) == total
+            lead = d_ent.index(1)
+            for rest in itertools.product(range(self.q), repeat=self.dim - 1):
+                base = rest[:lead] + (0,) + rest[lead:]
+                collected.append((self._line_members(base, d_ent), d_ent))
+        collected.sort()
         self._line_index = {members: k for k, (members, _) in enumerate(collected)}
-        self._lines = tuple(
-            Line(
-                base=self.point_at(members[0]),
-                points=members,
-                dir=SymPoint(self.n, self.q, d_ent, self._index_of(d_ent)),
-                index=k,
-            )
-            for k, (members, d_ent) in enumerate(collected)
-        )
+        self._lines = tuple(self._line(members, d_ent) for members, d_ent in collected)
         return self._lines
 
     def line_index(self, members) -> int:
         """Canonical index of the line with the given member indices."""
         self.lines()
-        assert self._line_index is not None
         key = tuple(sorted(int(m) for m in members))
         if key not in self._line_index:
             raise BadParametersError(f"{key} is not a line of this space")
@@ -447,11 +432,10 @@ class SymSpace:
     def lines_through(self, s: SymPoint) -> list[Line]:
         """All (q^n - 1)/(q - 1) lines containing the given point."""
         self._check_point(s)
-        out = []
-        for d_ent in self.direction_entries():
-            d_pt = SymPoint(self.n, self.q, d_ent, self._index_of(d_ent))
-            out.append(self.line_through(self.add(s, d_pt), s))
-        return out
+        return [
+            self._line(self._line_members(s.entries, d_ent), d_ent)
+            for d_ent in self.direction_entries()
+        ]
 
     # -- motions -----------------------------------------------------------------
 

@@ -244,18 +244,48 @@ def test_decode_batch_matches_reference_on_geometry_codes(code_name, request):
     llrs = 2.0 + 1.5 * rng.standard_normal((300, code.length))
     _assert_same_decodes(code.h, 4.0 * llrs / 1.5**2, DEFAULT_MAX_ITERS, split=123)
 
-    # Near-ties: set word w's LLR at one column to minus the oracle's sum of
-    # first-iteration messages into that column.  Those messages depend on
-    # the column's own LLR only through the leave-one-out division, so the
-    # posterior lands within a few ulps of 0 and a single rounding change in
-    # the check update or the column sum flips the bit about half the time.
-    ref = ReferenceDecoder(code.h)
-    llrs = rng.standard_normal((300, code.length))
+    llrs = _near_tie_llrs(code.h, rng.standard_normal((300, code.length)), rng)
+    _assert_same_decodes(code.h, llrs, 1)
+
+
+def _near_tie_llrs(h, llrs, rng):
+    """Set each word's LLR at one random column to minus the oracle's sum of
+    first-iteration messages into that column.
+
+    Those messages depend on the column's own LLR only through the
+    leave-one-out division, so the posterior lands within a few ulps of 0
+    and a single rounding change in the check update or the column sum
+    flips the bit about half the time.
+    """
+    ref = ReferenceDecoder(h)
     c2v_vm = ref.check_update(llrs.T[ref.var_cm])[ref.to_vm]
     sums = np.add.reduceat(c2v_vm, ref.var_starts, axis=0)  # every column is checked
-    words, cols = np.arange(300), rng.integers(code.length, size=300)
+    words, cols = np.arange(len(llrs)), rng.integers(h.ncols, size=len(llrs))
     llrs[words, cols] = -sums[cols, words]
-    _assert_same_decodes(code.h, llrs, 1)
+    return llrs
+
+
+# (words with a 1 bit, 1 bits) after one BP iteration on 300 near-tie words
+# drawn around LLR 6 (sd 2) at seed 2026.  On the q = 4 codes every 1 bit is
+# a near-tie bit that rounding sent negative.  Reordering the column sum
+# moves C(2,2), C(2,4) and CT(2,4) (CT(2,2) has column weight 2); reversing
+# the check product moves C(2,4), CT(2,2) and CT(2,4) (C(2,2) has row
+# weight 2).  The golden counts in test_sim.py miss the column-sum reorder.
+NEAR_TIE_TOTALS = {
+    "C(2,2)": (226, 462),
+    "CT(2,2)": (108, 123),
+    "C(2,4)": (106, 106),
+    "CT(2,4)": (104, 104),
+}
+
+
+@pytest.mark.parametrize("code_name", ["c22", "ct22", "c24", "ct24"])
+def test_near_tie_totals_pin_decoder_rounding(code_name, request):
+    code = request.getfixturevalue(code_name)
+    rng = np.random.default_rng(2026)
+    llrs = _near_tie_llrs(code.h, 6.0 + 2.0 * rng.standard_normal((300, code.length)), rng)
+    bits, _, _ = SumProductDecoder(code.h).decode_batch(llrs, max_iters=1)
+    assert (int(bits.any(axis=1).sum()), int(bits.sum())) == NEAR_TIE_TOTALS[code.code_id]
 
 
 def test_decoder_input_validation(ct22):

@@ -11,7 +11,7 @@ from symldpc import (
     sym_space,
     verify_structure,
 )
-from symldpc import incidence
+from symldpc import incidence, symspace
 from symldpc.exceptions import StructureViolationError, TooLargeError
 
 INF = float("inf")
@@ -115,16 +115,29 @@ def test_structure_checks_pass(n, q):
 def test_structure_catches_perturbation():
     h = build_h(sym_space(2, 2))
     rows = list(h.row_support)
-    # duplicating a row makes two rows share two columns
+    # copying row 0 over row 11 gives columns 0 and 1 a fourth row, so the
+    # column-weight check fires before the overlap check is reached
     rows[11] = rows[0]
     bad = SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
-    with pytest.raises(StructureViolationError):
+    with pytest.raises(StructureViolationError, match="column 0 has weight 4, expected 3"):
         verify_structure(bad, 2, 2)
     # wrong row weight
     rows = list(h.row_support)
     rows[0] = (0, 1, 2)
     bad = SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
     with pytest.raises(StructureViolationError):
+        verify_structure(bad, 2, 2)
+
+
+def test_structure_catches_four_cycle_with_weights_kept():
+    h = build_h(sym_space(2, 2))
+    rows = list(h.row_support)
+    assert (rows[0], rows[3], rows[6]) == ((0, 1), (1, 5), (2, 5))
+    # move column 0 from row 0 to row 6 and column 5 the other way: every row
+    # and column weight stays, but row 0 becomes a second copy of row 3
+    rows[0], rows[6] = (1, 5), (0, 2)
+    bad = SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
+    with pytest.raises(StructureViolationError, match="rows 0 and 3 share more than one"):
         verify_structure(bad, 2, 2)
 
 
@@ -194,6 +207,16 @@ def test_diameter_small_instances():
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_point_graph_is_connected(n, q):
     assert point_graph_components(sym_space(n, q)) == 1
+
+
+def test_point_graph_components_uses_point_bfs_cap(monkeypatch):
+    sp = sym_space(3, 2)
+    monkeypatch.setattr(symspace, "BFS_POINT_CAP", sp.size - 1)
+    with pytest.raises(TooLargeError):
+        point_graph_components(sp)
+    monkeypatch.setattr(symspace, "BFS_POINT_CAP", sp.size)
+    monkeypatch.setattr(incidence, "VERTEX_CAP", 1)  # the Tanner-graph cap plays no part
+    assert point_graph_components(sp) == 1
 
 
 def test_caps_reject_runaway_instances():

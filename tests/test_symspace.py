@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symldpc import sym_space
+from symldpc.symspace import BFS_POINT_CAP
 from symldpc.exceptions import (
     DimensionMismatchError,
     EmptyInputError,
     NotAdjacentError,
     NotInvertibleError,
 )
+
+from test_acceptance import _all_graph_distances
 
 
 @pytest.mark.parametrize("n,q,expected", [(2, 2, 8), (2, 3, 27), (2, 4, 64), (3, 2, 64)])
@@ -252,3 +255,68 @@ def test_bfs_and_line_caps():
     sp44 = sym_space(4, 4)
     with pytest.raises(TooLargeError):
         sp44.lines()
+
+
+def test_deleted_neighbourhood_shell_past_bfs_cap():
+    sp = sym_space(3, 16)
+    assert sp.size > BFS_POINT_CAP
+    assert len(sp.deleted_neighbourhood(sp.zero(), delta=1)) == 16**3 - 1
+
+
+def reference_lines(sp):
+    """The filter-based enumeration that lines() replaced, kept as the oracle.
+
+    Every (direction, point) pair builds the q members of its line, and the
+    pair is kept when the point is the line's smallest member.  Returns
+    (members, direction entries) in canonical order.
+    """
+    tbl = sp.field.add_table
+    collected = []
+    for d_ent in sp.direction_entries():
+        mults = [sp.scale(x, sp.point(d_ent)).entries for x in range(sp.q)]
+        for idx in range(sp.size):
+            ent = sp.point_at(idx).entries
+            members = sorted(
+                sp.point([tbl[a][b] for a, b in zip(ent, me)]).index for me in mults
+            )
+            if members[0] == idx:
+                collected.append((tuple(members), d_ent))
+    collected.sort(key=lambda t: t[0])
+    return collected
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3)])
+def test_lines_match_filter_enumeration(n, q):
+    sp = sym_space(n, q)
+    got = [(ln.points, ln.dir.entries, ln.index, ln.base.index) for ln in sp.lines()]
+    want = [(m, d, k, m[0]) for k, (m, d) in enumerate(reference_lines(sp))]
+    assert got == want
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_lines_through_and_line_through_agree_with_lines(n, q):
+    sp = sym_space(n, q)
+    lines = sp.lines()
+    for idx in range(sp.size):
+        s = sp.point_at(idx)
+        through = sp.lines_through(s)
+        assert sorted(ln.index for ln in through) == [
+            ln.index for ln in lines if idx in ln.points
+        ]
+        for ln in through:
+            assert lines[ln.index] == ln and lines[ln.index].dir == ln.dir
+            other = sp.point_at(next(m for m in ln.points if m != idx))
+            assert sp.line_through(s, other).index == ln.index
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_distances_match_per_root_oracle(n, q):
+    sp = sym_space(n, q)
+    dists = _all_graph_distances(sp)
+    pts = [sp.point_at(i) for i in range(sp.size)]
+    radius = max(max(row) for row in dists)
+    for i, s in enumerate(pts):
+        assert [sp.graph_distance(s, t) for t in pts] == dists[i]
+        for delta in range(1, radius + 2):
+            want = {pts[j] for j in range(sp.size) if 0 < dists[i][j] <= delta}
+            assert sp.deleted_neighbourhood(s, delta) == want
