@@ -13,7 +13,8 @@ for family, n, q, stop_budget in [
     ("symmetric_transpose", 2, 2, None),
     ("symmetric", 2, 3, None),
     ("symmetric_transpose", 2, 3, None),
-    ("symmetric", 2, 4, 8),  # full stopping search is infeasible at length 64
+    # budget 16 settles C(2,4) at s = 16 but takes about 30 s; 8 stays fast
+    ("symmetric", 2, 4, 8),
 ]:
     code = s.make_code(family, n, q)
     d = s.min_distance(code.h)

@@ -192,6 +192,8 @@ def cmd_analyze(cfg: CommandConfig) -> int:
     for c in checks:
         if c not in ALL_CHECKS:
             raise BadParametersError(f"unknown check {c!r}; choose from {ALL_CHECKS}")
+    if cfg.budget is not None and cfg.budget < 1:
+        raise BadParametersError(f"--budget must be >= 1, got {cfg.budget}")
     report: dict[str, dict] = {}
     for check in checks:
         report[check] = _run_check(check, h, family, n, q, cfg.budget)
@@ -218,7 +220,7 @@ def _run_check(check, h, family, n, q, budget) -> dict:
         r = gf2.rank_gf2(h)
         return {"status": "ok", "value": r, "dimension": h.ncols - r}
     if check == "mindist":
-        res = gf2.min_distance(h, budget=budget if budget else 6)
+        res = gf2.min_distance(h, budget=6 if budget is None else budget)
         return {
             "status": "ok",
             "value": res.value,

@@ -3,6 +3,8 @@
 Matrices come in as SparseBitMatrix; internally rows live as Python int
 bitmasks (bit j = column j), which makes Gaussian elimination and
 codeword enumeration cheap at the lengths this package cares about.
+The support search keeps its column-subset tables as numpy arrays of
+column syndromes packed 64 rows per uint64 word.
 
 Exactness is explicit: DistanceResult.status says whether a search
 exhausted everything below the reported value or only proved a lower
@@ -11,13 +13,25 @@ bound within its budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .exceptions import StructureViolationError, UnsupportedGirthError
+import numpy as np
+
+from .exceptions import (
+    BadParametersError,
+    StructureViolationError,
+    TooLargeError,
+    UnsupportedGirthError,
+)
 from .incidence import SparseBitMatrix
 
 # full codeword enumeration is used when the code dimension is at most this
 ENUM_DIM_CAP = 25
+# the support search refuses a budget whose largest half-subset table exceeds this
+SUPPORT_TABLE_CAP = 1 << 24
+
+_WORD_MASK = (1 << 64) - 1
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -167,57 +181,120 @@ def _min_weight_enumeration(basis: list[int]) -> tuple[int, int]:
     return best_w, best_cw
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise BadParametersError(f"distance search budget must be >= 1, got {budget}")
+
+
+def _packed_columns(h: SparseBitMatrix) -> np.ndarray:
+    """Column syndromes packed 64 rows per uint64 word, shape (ncols, words)."""
+    words = max(1, -(-h.nrows // 64))
+    table = [[(m >> (64 * w)) & _WORD_MASK for w in range(words)] for m in col_masks(h)]
+    return np.array(table, dtype=np.uint64).reshape(h.ncols, words)
+
+
+def _extend(cols: np.ndarray, keys: np.ndarray, packed: np.ndarray):
+    """The (k+1)-subset table from the k-subset table.
+
+    A table lists every subset as its ascending column indices with its
+    packed syndrome, grouped by ascending last column.  The subsets that
+    column j extends (those ending below j) are therefore a prefix of the
+    k-table, and the (k+1)-table comes out grouped by j in turn.
+    """
+    last = cols[:, -1] if cols.shape[1] else np.array([-1])
+    counts = np.searchsorted(last, np.arange(packed.shape[0]))
+    total = int(counts.sum())
+    out_cols = np.empty((total, cols.shape[1] + 1), dtype=cols.dtype)
+    out_keys = np.empty((total, keys.shape[1]), dtype=np.uint64)
+    start = 0
+    for j, count in enumerate(counts):
+        stop = start + count
+        out_cols[start:stop, :-1] = cols[:count]
+        out_cols[start:stop, -1] = j
+        np.bitwise_xor(keys[:count], packed[j], out=out_keys[start:stop])
+        start = stop
+    return out_cols, out_keys
+
+
+def _exact_keys(keys: np.ndarray) -> np.ndarray:
+    """One sortable key per subset that is equal exactly when all its words are."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+
+
+def _matching_pair(h, table_a, table_b, sorted_a, sorted_b) -> frozenset[int] | None:
+    """Union of the first disjoint a- and b-subsets with equal keys, checked to sum to zero."""
+    if table_a is table_b:  # a == b: every subset matches itself, so look for repeats
+        shared = sorted_a[1:][sorted_a[1:] == sorted_a[:-1]]
+    else:
+        pos = np.minimum(np.searchsorted(sorted_b, sorted_a), len(sorted_b) - 1)
+        shared = sorted_a[sorted_b[pos] == sorted_a]
+    for key in shared:
+        firsts = table_a[0][_exact_keys(table_a[1]) == key].tolist()
+        seconds = table_b[0][_exact_keys(table_b[1]) == key].tolist()
+        for first in firsts:
+            for second in seconds:
+                if set(first).isdisjoint(second):
+                    witness = frozenset(first + second)
+                    if not columns_sum_zero(h, witness):
+                        raise StructureViolationError(
+                            f"support search witness {sorted(witness)} does not sum to zero"
+                        )
+                    return witness
+    return None
+
+
 def _support_search(h: SparseBitMatrix, budget: int) -> DistanceResult:
     """Meet-in-the-middle search for the lightest zero-sum column subset.
 
     Exhausts weights 1..budget in order; exact when a dependency is found,
-    otherwise a lower bound of budget + 1.
+    otherwise a lower bound of budget + 1.  Weight w looks for an a-subset
+    and a b-subset (a = w // 2, b = w - a) with the same packed syndrome.
+    Each subset table's keys are sorted once: the sorted a-keys are looked
+    up in the sorted b-keys, or, when a == b, equal neighbours are taken,
+    since every subset matches itself.  Once no lighter dependency exists,
+    two distinct subsets with equal syndromes are disjoint and their union
+    is a dependency of weight w.
     """
-    masks = col_masks(h)
-    ncols = h.ncols
+    _check_budget(budget)
+    half = budget - budget // 2
+    largest = max(math.comb(h.ncols, k) for k in range(min(half, h.ncols) + 1))
+    if largest > SUPPORT_TABLE_CAP:
+        raise TooLargeError(
+            f"support search to weight {budget} needs {largest} subsets of "
+            f"{h.ncols} columns in one table, exceeding cap {SUPPORT_TABLE_CAP}"
+        )
+    packed = _packed_columns(h)
+    tables = [
+        (np.zeros((1, 0), dtype=np.min_scalar_type(h.ncols)),
+         np.zeros((1, packed.shape[1]), dtype=np.uint64))
+    ]
+    sorted_keys: dict[int, np.ndarray] = {}
     for w in range(1, budget + 1):
-        a = w // 2
-        b = w - a
-        half: dict[int, tuple[int, ...]] = {}
-        if a == 0:
-            half[0] = ()
-        else:
-            stack = [(0, 0, ())]
-            while stack:
-                start, acc, chosen = stack.pop()
-                if len(chosen) == a:
-                    half.setdefault(acc, chosen)
-                    continue
-                for j in range(start, ncols - (a - len(chosen)) + 1):
-                    stack.append((j + 1, acc ^ masks[j], chosen + (j,)))
-        found = _search_b_side(masks, ncols, b, half)
-        if found is not None:
+        a, b = w // 2, w - w // 2
+        if len(tables) == b:
+            tables.append(_extend(*tables[-1], packed))
+        if not len(tables[b][0]):
+            break  # b > ncols: no subsets at this weight or any heavier one
+        for k in (a, b):
+            if k not in sorted_keys:
+                sorted_keys[k] = np.sort(_exact_keys(tables[k][1]))
+        witness = _matching_pair(h, tables[a], tables[b], sorted_keys[a], sorted_keys[b])
+        if witness is not None:
             return DistanceResult(
-                value=w,
-                status=EXACT,
-                witness=frozenset(found),
-                method=METHOD_SUPPORT_SEARCH,
+                value=w, status=EXACT, witness=witness, method=METHOD_SUPPORT_SEARCH
             )
+        if a < b:
+            # heavier weights pair only the tables from b up
+            tables[a] = None
+            del sorted_keys[a]
     return DistanceResult(
         value=budget + 1,
         status=LOWER_BOUND_ONLY,
         witness=None,
         method=METHOD_SUPPORT_SEARCH,
     )
-
-
-def _search_b_side(masks, ncols, b, half):
-    stack = [(0, 0, ())]
-    while stack:
-        start, acc, chosen = stack.pop()
-        if len(chosen) == b:
-            match = half.get(acc)
-            if match is not None and not (set(match) & set(chosen)):
-                return match + chosen
-            continue
-        for j in range(start, ncols - (b - len(chosen)) + 1):
-            stack.append((j + 1, acc ^ masks[j], chosen + (j,)))
-    return None
 
 
 def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
@@ -229,6 +306,7 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
     dependency; a hit at weight w is exact because all smaller weights
     were exhausted first.
     """
+    _check_budget(budget)
     basis = null_space_basis(h)
     k = len(basis)
     if k == 0:
@@ -252,68 +330,70 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
 
     Branch and bound: a partial support with a "lonely" row (exactly one
     hit) can only grow into a stopping set by adding another column of
-    that row, so branching is forced there; a partial support with no
-    lonely rows already is a stopping set.  Exact when the search space
-    below the found size is exhausted within the budget.
+    that row, so branching is forced on the lowest lonely row; a partial
+    support with no lonely rows already is a stopping set.  The search
+    rooted at column j0 adds no column below j0: a stopping set whose
+    smallest column is m is reached inside itself from root m, so the
+    roots together stay exhaustive.  Exact when the search space below
+    the found size is exhausted within the budget.
     """
-    ncols = h.ncols
     if budget is None:
-        budget = ncols
-    best: list[int | None] = [None]
-    best_support: list[tuple[int, ...] | None] = [None]
+        budget = h.ncols
+    _check_budget(budget)
+    rows, cols = h.row_support, h.col_support
     hits = [0] * h.nrows
+    in_support = [False] * h.ncols
+    support: list[int] = []
+    lonely = 0  # bit i is set while row i has exactly one hit
+    bound = budget + 1  # only supports smaller than this are still wanted
+    best: tuple[int, ...] | None = None
+    floor = 0
 
-    def lonely_row() -> int:
-        for i, c in enumerate(hits):
-            if c == 1:
-                return i
-        return -1
+    def grow(j: int) -> None:
+        nonlocal lonely, bound, best
+        support.append(j)
+        in_support[j] = True
+        for i in cols[j]:
+            c = hits[i]
+            hits[i] = c + 1
+            if c < 2:
+                lonely ^= 1 << i
+        if not lonely:
+            bound = len(support)
+            best = tuple(support)
+        else:
+            row = (lonely & -lonely).bit_length() - 1
+            for k in rows[row]:
+                if len(support) + 1 >= bound:
+                    break
+                if k >= floor and not in_support[k]:
+                    grow(k)
+        for i in cols[j]:
+            c = hits[i] - 1
+            hits[i] = c
+            if c < 2:
+                lonely ^= 1 << i
+        in_support[j] = False
+        support.pop()
 
-    def dfs(support: list[int], in_support: set[int]) -> None:
-        row = lonely_row()
-        if row < 0:
-            size = len(support)
-            if best[0] is None or size < best[0]:
-                best[0] = size
-                best_support[0] = tuple(support)
-            return
-        limit = budget if best[0] is None else min(budget, best[0] - 1)
-        if len(support) + 1 > limit:
-            return
-        for j in h.row_support[row]:
-            if j in in_support:
-                continue
-            support.append(j)
-            in_support.add(j)
-            for i in h.col_support[j]:
-                hits[i] += 1
-            dfs(support, in_support)
-            for i in h.col_support[j]:
-                hits[i] -= 1
-            in_support.remove(j)
-            support.pop()
-
-    for j0 in range(ncols):
-        if best[0] == 1:
+    for j0 in range(h.ncols):
+        if bound == 1:
             break
-        for i in h.col_support[j0]:
-            hits[i] += 1
-        dfs([j0], {j0})
-        for i in h.col_support[j0]:
-            hits[i] -= 1
-    if best[0] is None:
+        floor = j0
+        grow(j0)
+    if best is None:
         return DistanceResult(
             value=budget + 1,
             status=LOWER_BOUND_ONLY,
             witness=None,
             method=METHOD_SUPPORT_SEARCH,
         )
-    if not is_stopping_set(h, best_support[0]):
+    if not is_stopping_set(h, best):
         raise StructureViolationError("branch-and-bound result is not a stopping set")
     return DistanceResult(
-        value=best[0],
+        value=len(best),
         status=EXACT,
-        witness=frozenset(best_support[0]),
+        witness=frozenset(best),
         method=METHOD_SUPPORT_SEARCH,
     )
 

@@ -423,7 +423,8 @@ class SymSpace:
 
     def line_index(self, members) -> int:
         """Canonical index of the line with the given member indices."""
-        self.lines()
+        if self._lines is None:
+            self.lines()
         key = tuple(sorted(int(m) for m in members))
         if key not in self._line_index:
             raise BadParametersError(f"{key} is not a line of this space")

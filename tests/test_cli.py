@@ -151,6 +151,20 @@ def test_analyze_transpose_mindist(tmp_path, capsys):
     assert report["witnesses"]["columns_sum_zero"] is True
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("checks", [None, "mindist", "stopdist"])
+def test_analyze_rejects_budget_below_one(tmp_path, capsys, budget, checks):
+    out = tmp_path / "h22.alist"
+    main(["build", "--n", "2", "--q", "2", "--family", "symmetric", "--out", str(out)])
+    capsys.readouterr()
+    args = ["analyze", "--infile", str(out), f"--budget={budget}"]
+    rc = main(args + (["--checks", checks] if checks else []))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --budget must be >= 1, got {budget}")
+
+
 def test_analyze_four_cycle_alist(tmp_path, capsys):
     h = SparseBitMatrix.from_rows(2, 2, [(0, 1), (0, 1)])
     path = tmp_path / "cycle.alist"

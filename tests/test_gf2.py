@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symldpc import (
     SparseBitMatrix,
@@ -14,8 +20,115 @@ from symldpc import (
     stopping_distance,
     tanner_lower_bound,
 )
-from symldpc.exceptions import UnsupportedGirthError
-from symldpc.gf2 import _support_search
+from symldpc import gf2
+from symldpc.exceptions import (
+    BadParametersError,
+    StructureViolationError,
+    TooLargeError,
+    UnsupportedGirthError,
+)
+from symldpc.gf2 import (
+    EXACT,
+    LOWER_BOUND_ONLY,
+    METHOD_SUPPORT_SEARCH,
+    DistanceResult,
+    _support_search,
+    col_masks,
+)
+
+
+# -- pure-Python oracles for the two exact searches ---------------------------
+
+
+def reference_support_search(h, budget):
+    """Meet-in-the-middle over a dict of a-subset syndromes and a DFS over b-subsets."""
+    masks = col_masks(h)
+    ncols = h.ncols
+    for w in range(1, budget + 1):
+        a = w // 2
+        b = w - a
+        half = {}
+        if a == 0:
+            half[0] = ()
+        else:
+            stack = [(0, 0, ())]
+            while stack:
+                start, acc, chosen = stack.pop()
+                if len(chosen) == a:
+                    half.setdefault(acc, chosen)
+                    continue
+                for j in range(start, ncols - (a - len(chosen)) + 1):
+                    stack.append((j + 1, acc ^ masks[j], chosen + (j,)))
+        found = _reference_b_side(masks, ncols, b, half)
+        if found is not None:
+            return DistanceResult(w, EXACT, frozenset(found), METHOD_SUPPORT_SEARCH)
+    return DistanceResult(budget + 1, LOWER_BOUND_ONLY, None, METHOD_SUPPORT_SEARCH)
+
+
+def _reference_b_side(masks, ncols, b, half):
+    stack = [(0, 0, ())]
+    while stack:
+        start, acc, chosen = stack.pop()
+        if len(chosen) == b:
+            match = half.get(acc)
+            if match is not None and not (set(match) & set(chosen)):
+                return match + chosen
+            continue
+        for j in range(start, ncols - (b - len(chosen)) + 1):
+            stack.append((j + 1, acc ^ masks[j], chosen + (j,)))
+    return None
+
+
+def reference_stopping_distance(h, budget=None):
+    """Branch and bound on the lowest lonely row, rescanning every row at every node."""
+    ncols = h.ncols
+    if budget is None:
+        budget = ncols
+    best = [None]
+    best_support = [None]
+    hits = [0] * h.nrows
+
+    def lonely_row():
+        for i, c in enumerate(hits):
+            if c == 1:
+                return i
+        return -1
+
+    def dfs(support, in_support):
+        row = lonely_row()
+        if row < 0:
+            size = len(support)
+            if best[0] is None or size < best[0]:
+                best[0] = size
+                best_support[0] = tuple(support)
+            return
+        limit = budget if best[0] is None else min(budget, best[0] - 1)
+        if len(support) + 1 > limit:
+            return
+        for j in h.row_support[row]:
+            if j in in_support:
+                continue
+            support.append(j)
+            in_support.add(j)
+            for i in h.col_support[j]:
+                hits[i] += 1
+            dfs(support, in_support)
+            for i in h.col_support[j]:
+                hits[i] -= 1
+            in_support.remove(j)
+            support.pop()
+
+    for j0 in range(ncols):
+        if best[0] == 1:
+            break
+        for i in h.col_support[j0]:
+            hits[i] += 1
+        dfs([j0], {j0})
+        for i in h.col_support[j0]:
+            hits[i] -= 1
+    if best[0] is None:
+        return DistanceResult(budget + 1, LOWER_BOUND_ONLY, None, METHOD_SUPPORT_SEARCH)
+    return DistanceResult(best[0], EXACT, frozenset(best_support[0]), METHOD_SUPPORT_SEARCH)
 
 
 def _matrix_from_dense(rows):
@@ -174,3 +287,145 @@ def test_searched_distances_respect_girth_bound(c22, ct22, ct23, c24):
     for code in (c22, ct22, ct23):
         col_weight = len(code.h.col_support[0])
         assert stopping_distance(code.h).value >= tanner_lower_bound(8, col_weight)
+
+
+# -- the fast searches against their oracles -----------------------------------
+
+
+def _assert_support_search_matches_oracle(h, budget):
+    got = _support_search(h, budget)
+    want = reference_support_search(h, budget)
+    assert (got.value, got.status) == (want.value, want.status)
+    if got.exact:
+        assert len(got.witness) == got.value
+        assert columns_sum_zero(h, got.witness)
+    else:
+        assert got.witness is None
+
+
+def _assert_stopping_distance_matches_oracle(h, budget):
+    got = stopping_distance(h, budget=budget)
+    want = reference_stopping_distance(h, budget=budget)
+    assert (got.value, got.status) == (want.value, want.status)
+    if got.exact:
+        assert len(got.witness) == got.value
+        assert is_stopping_set(h, got.witness)
+    else:
+        assert got.witness is None
+
+
+@st.composite
+def _small_matrices(draw):
+    """Sparse random matrices up to 10 x 14, some with zero or repeated columns."""
+    nrows = draw(st.integers(1, 10))
+    ncols = draw(st.integers(1, 14))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    cells = draw(st.lists(st.floats(0, 1), min_size=nrows * ncols, max_size=nrows * ncols))
+    dense = (np.array(cells).reshape(nrows, ncols) < density).astype(int)
+    if draw(st.booleans()):
+        dense[:, draw(st.integers(0, ncols - 1))] = 0
+    if ncols > 1 and draw(st.booleans()):
+        src, dst = draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True))
+        dense[:, dst] = dense[:, src]
+    return _matrix_from_dense(dense)
+
+
+@given(_small_matrices(), st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+@example(_matrix_from_dense(np.eye(5, dtype=int)), 6)  # full rank: budget exhausted
+def test_support_search_matches_oracle(h, budget):
+    _assert_support_search_matches_oracle(h, budget)
+
+
+@given(_small_matrices(), st.one_of(st.none(), st.integers(1, 15)))
+@settings(max_examples=300, deadline=None)
+@example(_matrix_from_dense(np.eye(5, dtype=int)), None)  # no stopping set at all
+def test_stopping_distance_matches_oracle(h, budget):
+    _assert_stopping_distance_matches_oracle(h, budget)
+
+
+def test_support_search_compares_every_word_past_64_rows():
+    # columns 0 and 1 agree on rows 0..63 and differ on rows 64 and 65, so a
+    # key of the first word alone would report a false weight-2 dependency
+    rows = [() for _ in range(70)]
+    rows[0] = (0, 1)
+    rows[64] = (0, 2)
+    rows[65] = (1, 2)
+    rows[69] = (3,)
+    h = SparseBitMatrix.from_rows(70, 4, rows)
+    res = _support_search(h, budget=4)
+    assert (res.value, res.status, res.witness) == (3, "exact", frozenset({0, 1, 2}))
+    _assert_support_search_matches_oracle(h, 4)
+
+
+@pytest.mark.parametrize("seed", [3, 5, 11])
+def test_searches_match_oracles_past_64_rows(seed):
+    # 16 random rows straddling the word boundary at row 64 leave light
+    # dependencies and stopping sets (exact at budget 6, not all at 3)
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((72, 24), dtype=int)
+    dense[56:] = rng.random((16, 24)) < 0.25
+    h = _matrix_from_dense(dense)
+    for budget in (3, 6):
+        _assert_support_search_matches_oracle(h, budget)
+        _assert_stopping_distance_matches_oracle(h, budget)
+
+
+@pytest.mark.parametrize("name", ["c22", "ct22", "ct23", "ct24"])
+def test_searches_match_oracles_on_geometry_codes(name, request):
+    h = request.getfixturevalue(name).h
+    _assert_support_search_matches_oracle(h, 8)
+    _assert_stopping_distance_matches_oracle(h, 8)
+
+
+def test_ct24_distances_exact_at_budget_eight(ct24):
+    d = min_distance(ct24.h, budget=8)
+    assert (d.value, d.status, d.method) == (8, "exact", "support_search")
+    st_res = stopping_distance(ct24.h, budget=8)
+    assert (st_res.value, st_res.status) == (8, "exact")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_searches_reject_budget_below_one(ct22, budget):
+    with pytest.raises(BadParametersError, match="budget"):
+        min_distance(ct22.h, budget=budget)
+    with pytest.raises(BadParametersError, match="budget"):
+        stopping_distance(ct22.h, budget=budget)
+    with pytest.raises(BadParametersError, match="budget"):
+        _support_search(ct22.h, budget=budget)
+
+
+def test_support_search_refuses_tables_past_cap(ct22, monkeypatch):
+    # CT(2,2) has 12 columns; budget 6 builds C(12, 3) = 220 3-subsets
+    monkeypatch.setattr(gf2, "SUPPORT_TABLE_CAP", 219)
+    with pytest.raises(TooLargeError, match="220"):
+        _support_search(ct22.h, budget=6)
+    monkeypatch.setattr(gf2, "SUPPORT_TABLE_CAP", 220)
+    assert _support_search(ct22.h, budget=6).value == 4
+
+
+def test_support_search_rejects_wrong_witness_under_optimize():
+    # -O strips asserts, so the witness check must be a real raise
+    script = """
+import sys
+import symldpc as s
+import symldpc.gf2 as g
+from symldpc.exceptions import StructureViolationError
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+code = s.make_code(s.FAMILY_TRANSPOSE, 2, 2)
+g.columns_sum_zero = lambda h, cols: False
+try:
+    g._support_search(code.h, 6)
+except StructureViolationError:
+    print("refused")
+else:
+    print("accepted")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"

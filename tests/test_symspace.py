@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symldpc import sym_space
-from symldpc.symspace import BFS_POINT_CAP
+from symldpc import field_of_size, sym_space
+from symldpc.symspace import BFS_POINT_CAP, SymSpace
 from symldpc.exceptions import (
+    BadParametersError,
     DimensionMismatchError,
     EmptyInputError,
     NotAdjacentError,
@@ -307,6 +308,24 @@ def test_lines_through_and_line_through_agree_with_lines(n, q):
             assert lines[ln.index] == ln and lines[ln.index].dir == ln.dir
             other = sp.point_at(next(m for m in ln.points if m != idx))
             assert sp.line_through(s, other).index == ln.index
+
+
+def test_line_index_enumerates_lines_once_on_a_fresh_space():
+    sp = SymSpace(2, field_of_size(3))
+    calls = []
+    enumerate_lines = sp.lines
+
+    def counting_lines():
+        calls.append(1)
+        return enumerate_lines()
+
+    sp.lines = counting_lines
+    lines = sym_space(2, 3).lines()
+    for ln in lines:
+        assert sp.line_index(reversed(ln.points)) == ln.index
+    assert len(calls) == 1
+    with pytest.raises(BadParametersError, match="not a line"):
+        sp.line_index(lines[0].points[:2] + lines[1].points[2:])
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
