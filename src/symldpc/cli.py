@@ -365,10 +365,7 @@ def cmd_export(cfg: CommandConfig) -> int:
     if cfg.fmt == "alist":
         write_alist(h, cfg.out)
     elif cfg.fmt == "dense":
-        text = "\n".join(
-            "".join("1" if j in set(row) else "0" for j in range(h.ncols))
-            for row in h.row_support
-        )
+        text = "\n".join(row.tobytes().decode("ascii") for row in h.toarray() + ord("0"))
         Path(cfg.out).write_text(text + "\n", encoding="utf-8")
     else:
         raise BadParametersError(f"unknown export format {cfg.fmt!r}")

@@ -1,10 +1,12 @@
 """Binary linear algebra: rank, null space, minimum and stopping distance.
 
-Matrices come in as SparseBitMatrix; internally rows live as Python int
-bitmasks (bit j = column j), which makes Gaussian elimination and
-codeword enumeration cheap at the lengths this package cares about.
-The support search keeps its column-subset tables as numpy arrays of
-column syndromes packed 64 rows per uint64 word.
+Matrices come in as SparseBitMatrix.  Every GF(2) computation on them
+(elimination, the null-space basis, codeword enumeration and the support
+search's column syndromes) uses one representation: rows packed 64
+columns per uint64 word, bit j % 64 of word j // 64 standing for column
+j, built straight from the supports.  Rank and null space come from one
+Gauss-Jordan pass over those rows, which yields the unique reduced row
+echelon form.
 
 Exactness is explicit: DistanceResult.status says whether a search
 exhausted everything below the reported value or only proved a lower
@@ -14,7 +16,9 @@ bound within its budget.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,8 +34,6 @@ from .incidence import SparseBitMatrix
 ENUM_DIM_CAP = 25
 # the support search refuses a budget whose largest half-subset table exceeds this
 SUPPORT_TABLE_CAP = 1 << 24
-
-_WORD_MASK = (1 << 64) - 1
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -55,57 +57,55 @@ class DistanceResult:
         return self.status == EXACT
 
 
-def row_masks(h: SparseBitMatrix) -> list[int]:
-    """Rows as int bitmasks, bit j set for column j."""
-    out = []
-    for row in h.row_support:
-        m = 0
-        for j in row:
-            m |= 1 << j
-        out.append(m)
-    return out
+def _pack(ncols: int, supports) -> np.ndarray:
+    """Rows given by their supports, packed into a (len(supports), words) uint64 array.
+
+    Bit j % 64 of word j // 64 stands for column j; there is at least one word.
+    """
+    lengths = [len(s) for s in supports]
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    cols = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=len(rows))
+    packed = np.zeros((len(lengths), max(1, -(-ncols // 64))), dtype=np.uint64)
+    np.bitwise_or.at(packed, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    return packed
 
 
-def col_masks(h: SparseBitMatrix) -> list[int]:
-    """Columns as int bitmasks, bit i set for row i."""
-    out = []
-    for col in h.col_support:
-        m = 0
-        for i in col:
-            m |= 1 << i
-        out.append(m)
-    return out
+def _bits(packed: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 0/1 entries of packed rows at the given columns, as uint8."""
+    return ((packed[:, cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
 
 
-def _rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (pivot rows, pivot column indices)."""
-    mat = [r for r in rows if r]
+def _echelon(h: SparseBitMatrix) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of h: (packed nonzero rows, pivot column of each).
+
+    Gauss-Jordan by column: the first row holding column c that is not yet
+    a pivot row becomes c's pivot and is XORed into every other row holding
+    c.  Rows that are not pivots yet are zero before column c, so the XOR
+    starts at c's word.
+    """
+    mat = _pack(h.ncols, h.row_support)
+    unused = np.ones(h.nrows, dtype=bool)
+    pivot_rows: list[int] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(len(mat)):
-            if i != r and (mat[i] & bit):
-                mat[i] ^= mat[r]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
+    for c in range(h.ncols):
+        if len(pivots) == h.nrows:
             break
-    return mat[: len(pivots)], pivots
+        word = c >> 6
+        hits = np.flatnonzero(mat[:, word] & np.uint64(1 << (c & 63)))
+        candidates = hits[unused[hits]]
+        if not len(candidates):
+            continue
+        p = candidates[0]
+        mat[hits[hits != p], word:] ^= mat[p, word:]
+        unused[p] = False
+        pivot_rows.append(p)
+        pivots.append(c)
+    return mat[pivot_rows], pivots
 
 
 def rank_gf2(h: SparseBitMatrix) -> int:
     """Rank over GF(2)."""
-    _, pivots = _rref(row_masks(h), h.ncols)
-    return len(pivots)
+    return len(_echelon(h)[1])
 
 
 def code_dimension(h: SparseBitMatrix) -> int:
@@ -113,29 +113,31 @@ def code_dimension(h: SparseBitMatrix) -> int:
     return h.ncols - rank_gf2(h)
 
 
-def null_space_basis(h: SparseBitMatrix) -> list[int]:
-    """Basis of the GF(2) null space, one bitmask per free column."""
-    rref_rows, pivots = _rref(row_masks(h), h.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(h.ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for row, pcol in zip(rref_rows, pivots):
-            if row & (1 << f):
-                v |= 1 << pcol
-        basis.append(v)
+def _basis(echelon: np.ndarray, pivots: list[int], ncols: int) -> np.ndarray:
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = _bits(echelon, free).T
     return basis
 
 
+def null_space_basis(h: SparseBitMatrix) -> np.ndarray:
+    """Basis of the GF(2) null space as a (k, ncols) uint8 0/1 array.
+
+    Row t is the null vector that is 1 at the t-th free (non-pivot) column
+    and 0 at every other free column, so the basis is canonical.
+    """
+    return _basis(*_echelon(h), h.ncols)
+
+
 def columns_sum_zero(h: SparseBitMatrix, cols) -> bool:
-    """True when the chosen columns sum to zero over GF(2)."""
-    acc = 0
-    masks = col_masks(h)
-    for j in cols:
-        acc ^= masks[j]
-    return acc == 0
+    """True when the chosen columns sum to zero over GF(2).
+
+    Counts, from the columns' own supports, how often each row is hit;
+    the sum is zero when every count is even.
+    """
+    hits = Counter(chain.from_iterable(h.col_support[j] for j in cols))
+    return all(count % 2 == 0 for count in hits.values())
 
 
 def is_stopping_set(h: SparseBitMatrix, cols) -> bool:
@@ -153,30 +155,30 @@ def is_stopping_set(h: SparseBitMatrix, cols) -> bool:
     return True
 
 
-def _support(mask: int) -> frozenset[int]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return frozenset(out)
+def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:
+    """(min weight, argmin codeword) over the nonzero codewords of a packed basis.
 
-
-def _min_weight_enumeration(basis: list[int]) -> tuple[int, int]:
-    """(min weight, argmin codeword) over all 2^k - 1 nonzero codewords, Gray order."""
-    best_w = None
-    best_cw = 0
-    cw = 0
-    for t in range(1, 1 << len(basis)):
-        gray_bit = (t & -t).bit_length() - 1
-        cw ^= basis[gray_bit]
-        w = cw.bit_count()
-        if w and (best_w is None or w < best_w):
-            best_w = w
-            best_cw = cw
-    if best_w is None:
+    A table of all 2^L combinations of the first L = min(k, 16) basis
+    vectors, built by doubling, is XORed with each combination of the
+    other vectors in Gray order, and np.bitwise_count gives the weights.
+    """
+    low = min(len(basis), 16)
+    table = np.zeros((1, basis.shape[1]), dtype=np.uint64)
+    for v in basis[:low]:
+        table = np.concatenate([table, table ^ v])
+    above_any = 64 * basis.shape[1] + 1
+    best_w, best_cw = above_any, None
+    offset = np.zeros(basis.shape[1], dtype=np.uint64)
+    for t in range(1 << (len(basis) - low)):
+        if t:
+            offset ^= basis[low + (t & -t).bit_length() - 1]
+        words = table ^ offset
+        weights = np.bitwise_count(words).sum(axis=1)
+        weights[weights == 0] = above_any
+        i = int(weights.argmin())
+        if weights[i] < best_w:
+            best_w, best_cw = int(weights[i]), words[i]
+    if best_cw is None:
         raise StructureViolationError("null-space basis spans no nonzero codeword")
     return best_w, best_cw
 
@@ -184,13 +186,6 @@ def _min_weight_enumeration(basis: list[int]) -> tuple[int, int]:
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise BadParametersError(f"distance search budget must be >= 1, got {budget}")
-
-
-def _packed_columns(h: SparseBitMatrix) -> np.ndarray:
-    """Column syndromes packed 64 rows per uint64 word, shape (ncols, words)."""
-    words = max(1, -(-h.nrows // 64))
-    table = [[(m >> (64 * w)) & _WORD_MASK for w in range(words)] for m in col_masks(h)]
-    return np.array(table, dtype=np.uint64).reshape(h.ncols, words)
 
 
 def _extend(cols: np.ndarray, keys: np.ndarray, packed: np.ndarray):
@@ -265,7 +260,7 @@ def _support_search(h: SparseBitMatrix, budget: int) -> DistanceResult:
             f"support search to weight {budget} needs {largest} subsets of "
             f"{h.ncols} columns in one table, exceeding cap {SUPPORT_TABLE_CAP}"
         )
-    packed = _packed_columns(h)
+    packed = _pack(h.nrows, h.col_support)
     tables = [
         (np.zeros((1, 0), dtype=np.min_scalar_type(h.ncols)),
          np.zeros((1, packed.shape[1]), dtype=np.uint64))
@@ -307,16 +302,17 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
     were exhausted first.
     """
     _check_budget(budget)
-    basis = null_space_basis(h)
-    k = len(basis)
+    echelon, pivots = _echelon(h)
+    k = h.ncols - len(pivots)
     if k == 0:
         # only the zero codeword; report the conventional n + 1 sentinel
         return DistanceResult(
             value=h.ncols + 1, status=EXACT, witness=None, method=METHOD_ENUMERATION
         )
     if k <= ENUM_DIM_CAP:
-        w, cw = _min_weight_enumeration(basis)
-        witness = _support(cw)
+        basis = _basis(echelon, pivots, h.ncols)
+        w, cw = _min_weight_enumeration(_pack(h.ncols, [np.flatnonzero(v) for v in basis]))
+        witness = frozenset(np.flatnonzero(_bits(cw[None], np.arange(h.ncols))).tolist())
         if not columns_sum_zero(h, witness):
             raise StructureViolationError("enumerated minimum-weight word is not a codeword")
         return DistanceResult(
@@ -337,9 +333,15 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
     roots together stay exhaustive.  Exact when the search space below
     the found size is exhausted within the budget.
     """
+    if budget is not None:
+        _check_budget(budget)
+    if h.ncols == 0:
+        # no nonempty column set; report min_distance's n + 1 sentinel
+        return DistanceResult(
+            value=1, status=EXACT, witness=None, method=METHOD_SUPPORT_SEARCH
+        )
     if budget is None:
         budget = h.ncols
-    _check_budget(budget)
     rows, cols = h.row_support, h.col_support
     hits = [0] * h.nrows
     in_support = [False] * h.ncols

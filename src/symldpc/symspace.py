@@ -28,7 +28,7 @@ from .exceptions import (
     StructureViolationError,
     TooLargeError,
 )
-from .gf import FieldTable, field_of_size
+from .gf import FieldTable
 
 # the point-graph BFS (distance_layers) refuses spaces larger than this
 BFS_POINT_CAP = 1 << 22
@@ -87,10 +87,6 @@ class SymSpace:
         self._directions: tuple[tuple[int, ...], ...] | None = None
         self._lines: tuple[Line, ...] | None = None
         self._line_index: dict[tuple[int, ...], int] | None = None
-
-    @classmethod
-    def of(cls, n: int, q: int) -> "SymSpace":
-        return cls(n, field_of_size(q))
 
     # -- points --------------------------------------------------------------
 

@@ -165,6 +165,17 @@ def test_analyze_rejects_budget_below_one(tmp_path, capsys, budget, checks):
     assert captured.err.startswith(f"error: --budget must be >= 1, got {budget}")
 
 
+def test_analyze_distances_without_columns(tmp_path, capsys):
+    path = tmp_path / "zero.alist"
+    path.write_text("0 0\n0 0\n\n\n")
+    rc = main(["analyze", "--infile", str(path), "--checks", "rank,mindist,stopdist"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert (report["rank"]["value"], report["rank"]["dimension"]) == (0, 0)
+    for check in ("mindist", "stopdist"):
+        assert (report[check]["value"], report[check]["exactness"]) == (1, "exact")
+
+
 def test_analyze_four_cycle_alist(tmp_path, capsys):
     h = SparseBitMatrix.from_rows(2, 2, [(0, 1), (0, 1)])
     path = tmp_path / "cycle.alist"
@@ -247,6 +258,11 @@ def test_export_normalizes_and_exports_gallager(tmp_path):
     dense = tmp_path / "g.txt"
     assert main(["export", "--infile", str(gal), "--format", "dense", "--out", str(dense)]) == 0
     assert len(dense.read_text().splitlines()) == 8
+    c22 = tmp_path / "c22.txt"
+    assert main(["export", "--infile", str(src), "--format", "dense", "--out", str(c22)]) == 0
+    for alist, text in ((gal, dense), (src, c22)):
+        want = "".join("".join(map(str, row)) + "\n" for row in read_alist(alist).toarray())
+        assert text.read_text() == want
 
 
 def test_ebno_range_parsing(tmp_path):

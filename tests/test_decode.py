@@ -22,10 +22,7 @@ from symldpc.incidence import SparseBitMatrix
 
 
 def _codewords(code):
-    return [
-        np.array([(v >> j) & 1 for j in range(code.length)], dtype=np.uint8)
-        for v in null_space_basis(code.h)
-    ]
+    return list(null_space_basis(code.h))
 
 
 def test_awgn_channel_sigma():

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symldpc import (
     SparseBitMatrix,
+    build_h,
     code_dimension,
     columns_sum_zero,
     is_stopping_set,
@@ -18,6 +19,7 @@ from symldpc import (
     null_space_basis,
     rank_gf2,
     stopping_distance,
+    sym_space,
     tanner_lower_bound,
 )
 from symldpc import gf2
@@ -33,8 +35,87 @@ from symldpc.gf2 import (
     METHOD_SUPPORT_SEARCH,
     DistanceResult,
     _support_search,
-    col_masks,
 )
+
+from test_acceptance import COUNT_INSTANCES
+
+
+# -- int-bitmask oracles for elimination and enumeration -----------------------
+
+
+def row_masks(h):
+    """Rows as int bitmasks, bit j set for column j."""
+    return [sum(1 << j for j in row) for row in h.row_support]
+
+
+def col_masks(h):
+    """Columns as int bitmasks, bit i set for row i."""
+    return [sum(1 << i for i in col) for col in h.col_support]
+
+
+def _dense(masks, ncols):
+    """Int bitmasks as a (len(masks), ncols) uint8 0/1 array."""
+    nbytes = -(-ncols // 8)
+    out = np.zeros((len(masks), ncols), dtype=np.uint8)
+    for t, m in enumerate(masks):
+        raw = np.frombuffer(m.to_bytes(nbytes, "little"), dtype=np.uint8)
+        out[t] = np.unpackbits(raw, bitorder="little")[:ncols]
+    return out
+
+
+def reference_rref(rows, ncols):
+    """Reduced row echelon form of int rows; returns (pivot rows, pivot column indices)."""
+    mat = [r for r in rows if r]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        bit = 1 << c
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i] & bit:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(len(mat)):
+            if i != r and (mat[i] & bit):
+                mat[i] ^= mat[r]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[: len(pivots)], pivots
+
+
+def reference_null_space(h):
+    """One int bitmask per free column: that column plus the pivots whose RREF row holds it."""
+    rref_rows, pivots = reference_rref(row_masks(h), h.ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(h.ncols):
+        if f in pivot_set:
+            continue
+        v = 1 << f
+        for row, pcol in zip(rref_rows, pivots):
+            if row & (1 << f):
+                v |= 1 << pcol
+        basis.append(v)
+    return basis
+
+
+def reference_min_weight(basis):
+    """(min weight, argmin codeword) over all 2^k - 1 nonzero codewords, Gray order."""
+    best_w = None
+    best_cw = 0
+    cw = 0
+    for t in range(1, 1 << len(basis)):
+        cw ^= basis[(t & -t).bit_length() - 1]
+        w = bin(cw).count("1")
+        if w and (best_w is None or w < best_w):
+            best_w = w
+            best_cw = cw
+    return best_w, best_cw
 
 
 # -- pure-Python oracles for the two exact searches ---------------------------
@@ -158,12 +239,9 @@ def test_code_dimension(c22, ct22, c24):
 
 def test_null_space_basis_spans_kernel(ct22):
     basis = null_space_basis(ct22.h)
-    assert len(basis) == 5
-    from symldpc.gf2 import row_masks
-
-    rows = row_masks(ct22.h)
-    for v in basis:
-        assert all((v & r).bit_count() % 2 == 0 for r in rows)
+    assert (basis.shape, basis.dtype) == ((5, 12), np.uint8)
+    rows = _dense(row_masks(ct22.h), ct22.h.ncols).astype(int)
+    assert not (rows @ basis.T % 2).any()
 
 
 def test_min_distance_exact_small(c22, ct22):
@@ -260,6 +338,14 @@ def test_stopping_distance_budget_exhaustion():
     assert res.value == 6
 
 
+@pytest.mark.parametrize("nrows", [0, 3])
+def test_distances_without_columns_report_the_sentinel(nrows):
+    # no column means no nonempty column set: both report the n + 1 sentinel
+    h = SparseBitMatrix.from_rows(nrows, 0, [()] * nrows)
+    for res in (min_distance(h), stopping_distance(h), stopping_distance(h, budget=4)):
+        assert (res.value, res.status, res.witness) == (1, "exact", None)
+
+
 def test_stopping_at_most_min_distance(ct22, ct23, c22):
     for code in (ct22, ct23, c22):
         s = stopping_distance(code.h).value
@@ -287,6 +373,94 @@ def test_searched_distances_respect_girth_bound(c22, ct22, ct23, c24):
     for code in (c22, ct22, ct23):
         col_weight = len(code.h.col_support[0])
         assert stopping_distance(code.h).value >= tanner_lower_bound(8, col_weight)
+
+
+# -- packed elimination and enumeration against their oracles ------------------
+
+
+def _assert_elimination_matches_oracle(h):
+    _, pivots = reference_rref(row_masks(h), h.ncols)
+    assert rank_gf2(h) == len(pivots)
+    assert code_dimension(h) == h.ncols - len(pivots)
+    basis = null_space_basis(h)
+    assert basis.dtype == np.uint8
+    # the RREF basis is canonical, so the two must agree row for row
+    np.testing.assert_array_equal(basis, _dense(reference_null_space(h), h.ncols))
+
+
+def _assert_min_weight_matches_oracle(h):
+    got = min_distance(h)
+    basis = reference_null_space(h)
+    if not basis:
+        assert (got.value, got.status, got.witness) == (h.ncols + 1, EXACT, None)
+        return
+    want = reference_min_weight(basis)[0]
+    assert (got.value, got.status, got.method) == (want, EXACT, "enumeration")
+    assert len(got.witness) == got.value
+    assert columns_sum_zero(h, got.witness)
+    # a nonempty proper subset of a minimum-weight word is no codeword
+    assert got.value == 1 or not columns_sum_zero(h, sorted(got.witness)[1:])
+
+
+# widths on both sides of the 64-column word boundaries
+_WIDTHS = st.one_of(st.integers(0, 20), st.sampled_from([63, 64, 65, 127, 128, 129]))
+
+
+@st.composite
+def _gf2_matrices(draw, max_dimension=None):
+    """Random matrices with all-zero rows and columns and repeated rows.
+
+    With max_dimension set, the matrix gets ncols - d rows for a drawn
+    d <= max_dimension, so its null space stays small enough to enumerate.
+    """
+    ncols = draw(_WIDTHS)
+    if max_dimension is None:
+        nrows = draw(st.integers(0, 12))
+    else:
+        nrows = max(0, ncols - draw(st.integers(0, max_dimension)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = (rng.random((nrows, ncols)) < density).astype(np.uint8)
+    if nrows and draw(st.booleans()):
+        dense[draw(st.integers(0, nrows - 1))] = 0
+    if nrows > 1 and draw(st.booleans()):
+        src, dst = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2, unique=True))
+        dense[dst] = dense[src]
+    if ncols and draw(st.booleans()):
+        dense[:, draw(st.integers(0, ncols - 1))] = 0
+    return _matrix_from_dense(dense)
+
+
+@given(_gf2_matrices())
+@settings(max_examples=300, deadline=None)
+@example(SparseBitMatrix.from_rows(0, 0, []))
+@example(SparseBitMatrix.from_rows(3, 0, [(), (), ()]))
+@example(SparseBitMatrix.from_rows(0, 65, []))
+def test_elimination_matches_oracle(h):
+    _assert_elimination_matches_oracle(h)
+
+
+@given(_gf2_matrices(max_dimension=12))
+@settings(max_examples=150, deadline=None)
+def test_min_weight_matches_oracle(h):
+    assume(len(reference_null_space(h)) <= 17)
+    _assert_min_weight_matches_oracle(h)
+
+
+@pytest.mark.parametrize("ncols, dimension", [(40, 17), (65, 18), (129, 19)])
+def test_min_weight_past_the_doubling_table_matches_oracle(ncols, dimension):
+    # dimensions above 16 XOR the 2^16-entry table with Gray-ordered offsets
+    rng = np.random.default_rng(ncols)
+    h = _matrix_from_dense(rng.random((ncols - dimension, ncols)) < 0.4)
+    assert code_dimension(h) == dimension
+    _assert_min_weight_matches_oracle(h)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["H", "HT"])
+@pytest.mark.parametrize("n, q", COUNT_INSTANCES)
+def test_elimination_matches_oracle_on_count_instances(n, q, transpose):
+    h = build_h(sym_space(n, q))
+    _assert_elimination_matches_oracle(h.transpose() if transpose else h)
 
 
 # -- the fast searches against their oracles -----------------------------------
