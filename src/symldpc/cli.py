@@ -220,24 +220,16 @@ def _run_check(check, h, family, n, q, budget) -> dict:
         r = gf2.rank_gf2(h)
         return {"status": "ok", "value": r, "dimension": h.ncols - r}
     if check == "mindist":
-        res = gf2.min_distance(h, budget=6 if budget is None else budget)
-        return {
-            "status": "ok",
-            "value": res.value,
-            "exactness": res.status,
-            "method": res.method,
-        }
+        return _distance_entry(gf2.min_distance(h, budget=6 if budget is None else budget))
     if check == "stopdist":
-        res = gf2.stopping_distance(h, budget=budget)
-        return {
-            "status": "ok",
-            "value": res.value,
-            "exactness": res.status,
-            "method": res.method,
-        }
+        return _distance_entry(gf2.stopping_distance(h, budget=budget))
     if check == "witnesses":
         return _witness_check(h, family, n, q)
     raise AssertionError(check)
+
+
+def _distance_entry(res: gf2.DistanceResult) -> dict:
+    return {"status": "ok", "value": res.value, "exactness": res.status, "method": res.method}
 
 
 def _witness_check(h, family, n, q) -> dict:
@@ -247,22 +239,18 @@ def _witness_check(h, family, n, q) -> dict:
             "detail": "witness checks need a symmetric-family alist with --family/--n/--q",
         }
     out: dict = {"status": "pass"}
+    witness = None
     if family == codes.FAMILY_TRANSPOSE:
         witness = codes.ctranspose_witness(n, q)
+    elif factor_prime_power(q)[0] == 2 and n == 2:
+        witness = codes.c2q_witness(q)
+    if witness is not None:
         ok = gf2.columns_sum_zero(h, witness)
         out["dependent_columns"] = sorted(witness)
         out["columns_sum_zero"] = ok
         if not ok:
             out["status"] = "fail"
-    else:
-        p, _ = factor_prime_power(q)
-        if p == 2 and n == 2:
-            witness = codes.c2q_witness(q)
-            ok = gf2.columns_sum_zero(h, witness)
-            out["dependent_columns"] = sorted(witness)
-            out["columns_sum_zero"] = ok
-            if not ok:
-                out["status"] = "fail"
+    if family == codes.FAMILY_SYMMETRIC:
         rows = codes.independent_row_family(n, q)
         sub = SparseBitMatrix.from_rows(
             len(rows), h.ncols, (h.row_support[i] for i in sorted(rows))

@@ -16,6 +16,11 @@ Irregular graphs and unchecked columns thus need no separate code path.
 
 Convention: BPSK maps bit 0 to +1 and bit 1 to -1, and the channel LLR of
 a received amplitude y is 2y/sigma^2 (positive means bit 0 more likely).
+
+Both decoders report `syndrome_ok` from the parity they already track: BP
+stops a word only when its hard decisions satisfy every check, and the
+peeler keeps each check's parity over its known bits, with erased bits
+returned as 0.
 """
 
 from __future__ import annotations
@@ -179,10 +184,6 @@ class SumProductDecoder:
         raise AssertionError("unreachable")
 
 
-def _syndrome_ok(h, word: np.ndarray) -> bool:
-    return all(int(word[list(row)].sum()) % 2 == 0 for row in h.row_support if row)
-
-
 def bp_decode_awgn(
     code: CodeSpec, llr, max_iters: int = DEFAULT_MAX_ITERS
 ) -> DecodeOutcome:
@@ -197,7 +198,7 @@ def bp_decode_awgn(
         status=STATUS_CONVERGED if conv[0] else STATUS_MAX_ITERS,
         word=bits[0],
         iterations=int(iters[0]),
-        syndrome_ok=_syndrome_ok(code.h, bits[0]),
+        syndrome_ok=bool(conv[0]),
     )
 
 
@@ -209,15 +210,16 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
     set.  A fully known check with odd parity raises InconsistentError.
     """
     h = code.h
-    received = list(int(b) for b in received)
+    received = np.asarray(received).tolist()
     if len(received) != code.length:
         raise LengthMismatchError(
             f"received word must have length {code.length}, got {len(received)}"
         )
+    # compared by value, so 1.0 passes while 0.9 or -1.5 is refused, not truncated
     if any(b not in (0, 1, ERASED) for b in received):
         raise BadParametersError("received symbols must be 0, 1 or ERASED")
 
-    word = [0 if b == ERASED else b for b in received]
+    word = [0 if b == ERASED else int(b) for b in received]
     erased = [b == ERASED for b in received]
     erased_count = []
     parity = []
@@ -249,11 +251,11 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
             elif erased_count[ii] == 0 and parity[ii] != 0:
                 raise InconsistentError("a fully known parity check fails")
 
-    out = np.array(word, dtype=np.uint8)
-    stalled = any(erased)
+    # parity[i] is the parity of row i's known bits, and erased bits are output
+    # as 0, so it is also row i's syndrome bit on the returned word
     return DecodeOutcome(
-        status=STATUS_STALLED if stalled else STATUS_CONVERGED,
-        word=out,
+        status=STATUS_STALLED if any(erased) else STATUS_CONVERGED,
+        word=np.array(word, dtype=np.uint8),
         iterations=steps,
-        syndrome_ok=_syndrome_ok(h, out),
+        syndrome_ok=not any(parity),
     )

@@ -9,6 +9,10 @@ index); trial t consumes the 64-bit words [t*W, (t+1)*W) of that stream,
 where W is the per-trial word budget rounded up to the 4-word Philox
 block.  Noise values therefore depend only on (seed, cell, trial), never
 on batch size, thread count, or schedule, and reruns are bit-identical.
+
+Both sweeps share one cell driver, `_sweep`: it draws each batch's
+uniforms, counts word and bit errors and builds the SimResult, while the
+channel supplies only the per-trial bit errors of a batch.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .codes import CodeSpec
 from .decode import (
     DEFAULT_MAX_ITERS,
     ERASED,
-    STATUS_STALLED,
     AwgnChannel,
     SumProductDecoder,
     peel_decode_bec,
@@ -121,6 +124,45 @@ def _check_common(trials: int, seed: int) -> None:
         raise BadParametersError("seed must be an integer")
 
 
+def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
+    """Run one cell per parameter; the channel enters only through `errors`.
+
+    Each trial draws one uniform per code bit, rounded up to the Philox
+    block (so always an even count, as Box-Muller needs); errors(param,
+    uniforms) maps a (batch, words) block to per-trial bit error counts,
+    and a trial with any bit error is a word error.
+    """
+    _check_common(trials, seed)
+    wpt = _words_per_trial(code.length)
+
+    def run_cell(cell: int) -> SimResult:
+        t0 = time.perf_counter()
+        param = params[cell]
+        word_errors = 0
+        bit_errors = 0
+        done = 0
+        while done < trials:
+            b = min(batch_size, trials - done)
+            errs = errors(param, _uniforms(seed, cell, done * wpt, b * wpt).reshape(b, wpt))
+            word_errors += int(np.count_nonzero(errs))
+            bit_errors += int(errs.sum())
+            done += b
+        return SimResult(
+            code_id=code.code_id,
+            channel=channel,
+            param=param,
+            trials=trials,
+            word_errors=word_errors,
+            bit_errors=bit_errors,
+            wer=word_errors / trials,
+            ber=bit_errors / (trials * code.length),
+            seed=seed,
+            elapsed=time.perf_counter() - t0,
+        )
+
+    return _run_cells(run_cell, len(params), threads)
+
+
 def run_awgn_sweep(
     code: CodeSpec,
     ebno_list,
@@ -131,46 +173,19 @@ def run_awgn_sweep(
     batch_size: int = DEFAULT_BATCH,
 ) -> list[SimResult]:
     """All-zero-codeword AWGN sweep; one SimResult per Eb/N0 point."""
-    _check_common(trials, seed)
     if code.dimension < 1:
         raise BadParametersError("AWGN Eb/N0 scaling needs code dimension >= 1")
     ebno_list = [float(e) for e in ebno_list]
     decoder = SumProductDecoder(code.h)
     n = code.length
-    wpt = _words_per_trial(n if n % 2 == 0 else n + 1)
 
-    def run_cell(cell: int) -> SimResult:
-        t0 = time.perf_counter()
-        ebno = ebno_list[cell]
+    def errors(ebno: float, u: np.ndarray) -> np.ndarray:
         sigma = AwgnChannel(ebno_db=ebno, rate=code.rate).sigma
-        scale = 2.0 / (sigma * sigma)
-        word_errors = 0
-        bit_errors = 0
-        done = 0
-        while done < trials:
-            b = min(batch_size, trials - done)
-            u = _uniforms(seed, cell, done * wpt, b * wpt).reshape(b, wpt)
-            noise = _standard_normals(u, n)
-            y = 1.0 + sigma * noise
-            bits, _, _ = decoder.decode_batch(scale * y, max_iters)
-            errs = bits.sum(axis=1)
-            word_errors += int(np.count_nonzero(errs))
-            bit_errors += int(errs.sum())
-            done += b
-        return SimResult(
-            code_id=code.code_id,
-            channel="awgn",
-            param=ebno,
-            trials=trials,
-            word_errors=word_errors,
-            bit_errors=bit_errors,
-            wer=word_errors / trials,
-            ber=bit_errors / (trials * n),
-            seed=seed,
-            elapsed=time.perf_counter() - t0,
-        )
+        y = 1.0 + sigma * _standard_normals(u, n)
+        bits, _, _ = decoder.decode_batch((2.0 / (sigma * sigma)) * y, max_iters)
+        return bits.sum(axis=1)
 
-    return _run_cells(run_cell, len(ebno_list), threads)
+    return _sweep(code, "awgn", ebno_list, trials, seed, errors, threads, batch_size)
 
 
 def run_bec_sweep(
@@ -182,48 +197,22 @@ def run_bec_sweep(
     batch_size: int = DEFAULT_BATCH,
 ) -> list[SimResult]:
     """All-zero-codeword erasure-channel sweep using the peeling decoder."""
-    _check_common(trials, seed)
     probs = [float(p) for p in erasure_probs]
     for p in probs:
         if not 0.0 <= p < 1.0:
             raise BadParametersError(f"erasure probability must be in [0, 1), got {p}")
     n = code.length
-    wpt = _words_per_trial(n)
 
-    def run_cell(cell: int) -> SimResult:
-        t0 = time.perf_counter()
-        p = probs[cell]
-        word_errors = 0
-        bit_errors = 0
-        done = 0
-        while done < trials:
-            b = min(batch_size, trials - done)
-            u = _uniforms(seed, cell, done * wpt, b * wpt).reshape(b, wpt)[:, :n]
-            erase = u < p
-            for t in range(b):
-                received = np.where(erase[t], ERASED, 0)
-                n_erased = int(erase[t].sum())
-                outcome = peel_decode_bec(code, received)
-                unresolved = n_erased - outcome.iterations
-                miscorrected = int(outcome.word.sum())
-                if outcome.status == STATUS_STALLED or miscorrected:
-                    word_errors += 1
-                bit_errors += unresolved + miscorrected
-            done += b
-        return SimResult(
-            code_id=code.code_id,
-            channel="bec",
-            param=p,
-            trials=trials,
-            word_errors=word_errors,
-            bit_errors=bit_errors,
-            wer=word_errors / trials,
-            ber=bit_errors / (trials * n),
-            seed=seed,
-            elapsed=time.perf_counter() - t0,
-        )
+    def errors(p: float, u: np.ndarray) -> np.ndarray:
+        erase = u[:, :n] < p
+        errs = np.empty(len(erase), dtype=np.int64)
+        for t, row in enumerate(erase):
+            outcome = peel_decode_bec(code, np.where(row, ERASED, 0))
+            # bits left erased plus bits resolved to 1; a stall leaves at least one
+            errs[t] = int(row.sum()) - outcome.iterations + int(outcome.word.sum())
+        return errs
 
-    return _run_cells(run_cell, len(probs), threads)
+    return _sweep(code, "bec", probs, trials, seed, errors, threads, batch_size)
 
 
 def _run_cells(run_cell, n_cells: int, threads: int | None) -> list[SimResult]:

@@ -21,7 +21,7 @@ from symldpc import (
     symmetric_dimension_bound,
     transpose_dimension_bound,
 )
-from symldpc.exceptions import BadCharacteristicError, BadParametersError
+from symldpc.exceptions import BadCharacteristicError, BadParametersError, StructureViolationError
 from symldpc.incidence import SparseBitMatrix
 
 from fixture_h22 import DEPENDENT_TRANSPOSE_COLUMNS, L_LINES, V_POINTS
@@ -58,6 +58,16 @@ def test_ctranspose_witness_columns_dependent(q):
     assert len(witness) == 2 * q
     code = make_code(FAMILY_TRANSPOSE, 2, q)
     assert columns_sum_zero(code.h, witness)
+
+
+@pytest.mark.parametrize("shift", [1, 5])
+def test_ctranspose_witness_refuses_lines_that_do_not_cancel(monkeypatch, shift):
+    # shifted line indices name 2q lines whose points do not all pair up
+    sp = sym_space(2, 3)
+    index, count = sp.line_index, sp.line_count()
+    monkeypatch.setattr(sp, "line_index", lambda members: (index(members) + shift) % count)
+    with pytest.raises(StructureViolationError):
+        ctranspose_witness(2, 3)
 
 
 def test_ctranspose_witness_embeds_in_larger_order():

@@ -58,6 +58,29 @@ def test_converged_implies_syndrome_ok(ct22):
             assert out.syndrome_ok
 
 
+def reference_syndrome_ok(h, word) -> bool:
+    """True when the word satisfies every check of h, from the dense matrix.
+
+    The decoders report the parity they computed while decoding; this
+    recomputes it from scratch as the oracle.
+    """
+    return not np.any(h.toarray().astype(np.int64) @ np.asarray(word, dtype=np.int64) % 2)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_bp_syndrome_ok_matches_reference(c22, ct22, max_iters):
+    rng = np.random.default_rng(max_iters)
+    seen = set()
+    for code in (c22, ct22):
+        # channel LLRs 2y/sigma^2 at sigma = 1: many words fail within 3 iterations
+        for llr in 2.0 * (1.0 + rng.standard_normal((60, code.length))):
+            out = bp_decode_awgn(code, llr, max_iters=max_iters)
+            assert out.syndrome_ok == reference_syndrome_ok(code.h, out.word)
+            assert out.syndrome_ok == (out.status == "converged")
+            seen.add(out.syndrome_ok)
+    assert seen == {True, False}
+
+
 def test_sign_flip_symmetry(ct22):
     # flipping llr signs along a codeword maps the decode by that codeword
     cw = _codewords(ct22)[2]
@@ -345,6 +368,47 @@ def test_peeling_stalls_exactly_on_stopping_supersets(c22):
             assert stalled == contains
 
 
+def _erased_codeword(basis, coeffs, erase):
+    cw = np.bitwise_xor.reduce(basis[np.array(coeffs, dtype=bool)], axis=0).astype(np.int64)
+    return np.where(np.array(erase, dtype=bool), ERASED, cw)
+
+
+@st.composite
+def _peel_cases(draw, codes):
+    code = draw(st.sampled_from(codes))
+    basis = null_space_basis(code.h)
+    coeffs = draw(st.lists(st.booleans(), min_size=len(basis), max_size=len(basis)))
+    erase = draw(st.lists(st.booleans(), min_size=code.length, max_size=code.length))
+    return code, _erased_codeword(basis, coeffs, erase)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_peel_syndrome_ok_matches_reference(c22, ct22, c23, data):
+    # erased bits come back as 0, so a stall may or may not satisfy the checks
+    code, received = data.draw(_peel_cases((c22, ct22, c23)))
+    out = peel_decode_bec(code, received)
+    assert out.syndrome_ok == reference_syndrome_ok(code.h, out.word)
+    if out.status == "converged":
+        assert out.syndrome_ok
+
+
+def test_peel_stalls_with_both_syndrome_outcomes(c22, ct22, c23):
+    rng = np.random.default_rng(7)
+    stalled = set()
+    for code in (c22, ct22, c23):
+        basis = null_space_basis(code.h)
+        for _ in range(100):
+            received = _erased_codeword(
+                basis, rng.random(len(basis)) < 0.5, rng.random(code.length) < 0.5
+            )
+            out = peel_decode_bec(code, received)
+            assert out.syndrome_ok == reference_syndrome_ok(code.h, out.word)
+            if out.status == "stalled":
+                stalled.add(out.syndrome_ok)
+    assert stalled == {True, False}
+
+
 def test_peel_inconsistent_word_raises(ct22):
     received = np.zeros(12, dtype=int)
     received[0] = 1  # weight-1 word cannot satisfy the checks
@@ -368,6 +432,20 @@ def test_peel_input_validation(ct22):
         peel_decode_bec(ct22, [0] * 11)
     with pytest.raises(BadParametersError):
         peel_decode_bec(ct22, [0] * 11 + [7])
+
+
+def test_peel_refuses_non_integral_symbols(ct22):
+    # symbols are compared by value, never truncated toward 0
+    for received in ([0.9] * 12, [-1.5] + [0] * 11, [0] * 11 + [0.5]):
+        with pytest.raises(BadParametersError):
+            peel_decode_bec(ct22, received)
+    # integral floats are the symbols they equal
+    cw = _codewords(ct22)[0]
+    received = cw.astype(np.float64)
+    received[0] = float(ERASED)
+    out = peel_decode_bec(ct22, received)
+    assert out.status == "converged"
+    assert np.array_equal(out.word, cw)
 
 
 def test_decode_batch_agrees_with_reference_above_weight_8():

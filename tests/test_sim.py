@@ -132,3 +132,12 @@ def test_golden_counts(code_name, request):
     for r in results:
         key = (r.code_id, r.channel, r.param)
         assert (r.word_errors, r.bit_errors) == GOLDEN_COUNTS[key]
+        assert r.trials == 2000 and r.wer == r.word_errors / 2000
+        assert r.ber == r.bit_errors / (2000 * code.length)
+
+
+def test_odd_length_counts(c23):
+    # 27 bits take 28 Philox words per trial, which Box-Muller uses as 14 pairs
+    results = run_awgn_sweep(c23, [1.0, 3.0], 1000, seed=2026, threads=1, batch_size=300)
+    results += run_bec_sweep(c23, [0.3], 1000, seed=2026, threads=1)
+    assert [(r.word_errors, r.bit_errors) for r in results] == [(163, 2188), (62, 842), (1, 12)]

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "symldpc"
@@ -15,3 +16,34 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "assert statements in src: " + ", ".join(found)
+
+
+def _names_used(tree) -> Counter:
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name] += 1
+    return used
+
+
+def test_every_private_helper_is_used():
+    # a private function or class that nothing else in src/ names was left
+    # behind when its last caller went
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))
+    }
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and used[node.name] == _names_used(node)[node.name]
+    ]
+    assert not unused, "private helpers nothing else in src uses: " + ", ".join(unused)
