@@ -8,6 +8,18 @@ thousands of noise realizations per numpy call; each word's evolution is
 independent of the rest of the batch, so results never depend on how
 trials are grouped.
 
+A call decodes at most LANES words at once.  When a word converges or
+reaches max_iters, its result is written out and the next pending word of
+the batch takes over its lane (channel LLRs loaded, c2v messages and the
+lane's iteration count reset); the pool shrinks only once no word is left
+to load.  The message and scratch buffers are allocated once per call,
+LANES words wide, and filled in place, so the decoder's memory scales with
+LANES rather than with the batch.  The check update divides each slot's
+tanh out of its check's product whenever no tanh is exactly 0, which is
+nearly always; otherwise it takes the zero-count branch.  Each word still
+sees the same operations in the same order, so bits, convergence and
+iteration counts do not depend on the lane count either.
+
 Messages live in two padded layouts: the check side is (nonzero rows x max
 row weight) and the variable side is (columns x max column weight).  Slots
 past a node's degree read a sentinel row: v2c = +inf on the check side
@@ -44,6 +56,10 @@ STATUS_MAX_ITERS = "max_iters"
 STATUS_STALLED = "stalled"
 
 ERASED = -1
+
+# words BP decodes at once: a word that converges or reaches max_iters hands
+# its lane to the next pending word of the batch
+LANES = 1024
 
 
 @dataclass(frozen=True)
@@ -117,71 +133,132 @@ class SumProductDecoder:
         if max_iters < 1:
             raise BadParametersError("max_iters must be >= 1")
         batch = llrs.shape[0]
-        bits_out = np.zeros((batch, self.ncols), dtype=np.uint8)
-        iters_out = np.full(batch, max_iters, dtype=np.int32)
-        converged = np.zeros(batch, dtype=bool)
+        bits_out = np.empty((batch, self.ncols), dtype=np.uint8)
+        iters_out = np.empty(batch, dtype=np.int32)
+        converged = np.empty(batch, dtype=bool)
 
-        col_wt = self.var_side.shape[1]
-        var_of_check_slot = self.check_side // col_wt  # sentinel -> ncols
-        active = np.arange(batch)
-        llr_t = np.ascontiguousarray(np.clip(llrs, -LLR_CLIP, LLR_CLIP).T)  # (n, B)
-        post = llr_t
-        c2v_var = np.zeros((*self.var_side.shape, batch))
+        n, col_wt = self.var_side.shape
+        m, row_wt = self.check_side.shape
+        var_slots = self.var_side.ravel()
+        check_slots = self.check_side.ravel()
+        var_of_check_slot = check_slots // col_wt  # sentinel -> ncols
         tanh_cap = np.tanh(0.5 * LLR_CLIP)
 
-        for it in range(1, max_iters + 1):
-            b = len(active)
-            v2c = np.empty((self.var_side.size + 1, b))
-            v2c[-1] = np.inf  # tanh(inf) = 1 leaves the check product exact
-            out = v2c[:-1].reshape(c2v_var.shape)
-            np.clip(post[:, None] - c2v_var, -LLR_CLIP, LLR_CLIP, out=out)
-
-            t = np.tanh(0.5 * v2c[self.check_side])  # (checks, row_wt, B)
-            zero = t == 0.0
-            t_nz = np.where(zero, 1.0, t)
-            prod = np.multiply.reduce(t_nz, axis=1, keepdims=True)
-            zcnt = np.count_nonzero(zero, axis=1, keepdims=True)
-            loo = np.where(
-                zcnt == 0,
-                prod / t_nz,
-                np.where((zcnt == 1) & zero, prod, 0.0),
+        # every buffer is allocated once, LANES words wide, and lives in this
+        # call (a sweep shares the decoder across threads); a pool of `width`
+        # lanes uses the first rows * width entries as a (rows, width) array
+        width = min(LANES, batch)
+        state = [np.empty((rows, width)) for rows in (n, n, var_slots.size)]
+        scratch = [
+            np.empty((rows, width), dtype)
+            for rows, dtype in (
+                (var_slots.size + 1, np.float64),  # v2c, then its sentinel row
+                (check_slots.size, np.float64),  # tanh, then leave-one-out
+                (check_slots.size, bool),  # tanh == 0
+                (m, np.float64),  # check product
+                (check_slots.size + 1, np.float64),  # c2v, then its sentinel row
+                (n + 1, bool),  # hard decisions, then the sentinel bit
+                (check_slots.size, bool),  # decisions gathered per check slot
+                (m, bool),  # check parity
             )
-            np.clip(loo, -tanh_cap, tanh_cap, out=loo)
-            c2v = np.zeros((self.check_side.size + 1, b))  # sentinel row: c2v = 0
-            np.multiply(2.0, np.arctanh(loo), out=c2v[:-1].reshape(loo.shape))
+        ]
+        llr_t, post, c2v_var = state
+        lane_word = np.empty(width, dtype=np.int64)
+        lane_iter = np.empty(width, dtype=np.int32)
+        free = np.arange(width)
+        loaded = 0
 
-            c2v_var = c2v[self.var_side]  # (n, col_wt, B)
+        while True:
+            # the free lanes take the next pending words in word order; once
+            # none are left, the lanes still free leave the pool
+            fresh, idle = free[: batch - loaded], free[batch - loaded :]
+            if fresh.size:
+                words = np.arange(loaded, loaded + fresh.size)
+                loaded += fresh.size
+                lane_word[fresh] = words
+                lane_iter[fresh] = 0
+                llr_t[:, fresh] = np.clip(llrs[words], -LLR_CLIP, LLR_CLIP).T
+                post[:, fresh] = llr_t[:, fresh]
+                c2v_var[:, fresh] = 0.0
+            if idle.size:
+                keep = np.setdiff1d(np.arange(width), idle, assume_unique=True)
+                width = keep.size
+                lane_word, lane_iter = lane_word[keep], lane_iter[keep]
+                llr_t, post, c2v_var = (
+                    _compact(buf, arr, keep)
+                    for buf, arr in zip(state, (llr_t, post, c2v_var))
+                )
+            if not width:
+                return bits_out, converged, iters_out
+            c2v_by_var = c2v_var.reshape(n, col_wt, width)
+            v2c, t, zero, prod, c2v, bits, par, parity = (
+                _lane_view(buf, width) for buf in scratch
+            )
+
+            v2c[-1] = np.inf  # tanh(inf) = 1 leaves the check product exact
+            v2c_by_var = v2c[:-1].reshape(c2v_by_var.shape)
+            np.subtract(post[:, None], c2v_by_var, out=v2c_by_var)
+            np.clip(v2c_by_var, -LLR_CLIP, LLR_CLIP, out=v2c_by_var)
+
+            # mode="clip" skips the bounds-check copy; the slots are in range
+            np.take(v2c, check_slots, axis=0, out=t, mode="clip")
+            np.multiply(0.5, t, out=t)
+            np.tanh(t, out=t)
+            t = t.reshape(m, row_wt, width)
+            zero = np.equal(t, 0.0, out=zero.reshape(t.shape))
+            if zero.any():
+                t_nz = np.where(zero, 1.0, t)
+                prod = np.multiply.reduce(t_nz, axis=1, keepdims=True)
+                zcnt = np.count_nonzero(zero, axis=1, keepdims=True)
+                loo = np.where(
+                    zcnt == 0,
+                    prod / t_nz,
+                    np.where((zcnt == 1) & zero, prod, 0.0),
+                )
+            else:
+                # with no tanh at 0 the zero-count branch reduces to this division
+                np.multiply.reduce(t, axis=1, out=prod)
+                loo = np.divide(prod[:, None], t, out=t)
+            np.clip(loo, -tanh_cap, tanh_cap, out=loo)
+            c2v[-1] = 0.0
+            c2v_by_check = c2v[:-1].reshape(loo.shape)
+            np.arctanh(loo, out=c2v_by_check)
+            np.multiply(2.0, c2v_by_check, out=c2v_by_check)
+
+            np.take(c2v, var_slots, axis=0, out=c2v_var, mode="clip")
             # x0 + ((x1 + x2) + ...) matches the reference decoder in the tests
             # bit for bit up to column weight 8; zero padding leaves it exact
-            tail = sum((c2v_var[:, k] for k in range(1, col_wt)), -0.0)
-            post = llr_t + (c2v_var[:, 0] + tail)
-            bits = np.zeros((self.ncols + 1, b), dtype=np.uint8)  # sentinel: bit 0
-            bits[:-1] = post < 0.0
-            parity = np.bitwise_xor.reduce(bits[var_of_check_slot], axis=1)
-            ok = ~np.any(parity, axis=0)
+            post.fill(-0.0)
+            for k in range(1, col_wt):
+                np.add(post, c2v_by_var[:, k], out=post)
+            np.add(c2v_by_var[:, 0], post, out=post)
+            np.add(llr_t, post, out=post)
+            bits[-1] = False
+            np.less(post, 0.0, out=bits[:-1])
+            np.take(bits, var_of_check_slot, axis=0, out=par, mode="clip")
+            np.bitwise_xor.reduce(par.reshape(m, row_wt, width), axis=1, out=parity)
+            ok = ~parity.any(axis=0)
 
-            # `active` columns map back to original trial indices
-            newly = np.flatnonzero(ok)
-            if newly.size:
-                orig = active[newly]
-                bits_out[orig] = bits[:-1, newly].T
-                iters_out[orig] = it
-                converged[orig] = True
-            if newly.size == ok.size:
-                return bits_out, converged, iters_out
-            if it == max_iters:
-                rest = np.flatnonzero(~ok)
-                bits_out[active[rest]] = bits[:-1, rest].T
-                return bits_out, converged, iters_out
+            lane_iter += 1
+            free = np.flatnonzero(ok | (lane_iter >= max_iters))
+            words = lane_word[free]
+            bits_out[words] = bits[:-1, free].T
+            converged[words] = ok[free]
+            iters_out[words] = lane_iter[free]
 
-            if newly.size:
-                keep = np.flatnonzero(~ok)
-                active = active[keep]
-                llr_t = llr_t[:, keep]
-                post = post[:, keep]
-                c2v_var = c2v_var[..., keep]
 
-        raise AssertionError("unreachable")
+def _lane_view(buf: np.ndarray, width: int) -> np.ndarray:
+    """The first rows * width entries of a (rows, lanes) buffer, as (rows, width)."""
+    rows = buf.shape[0]
+    return buf.reshape(-1)[: rows * width].reshape(rows, width)
+
+
+def _compact(buf: np.ndarray, arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Copy arr's `keep` lanes to the front of buf, which arr may overlap."""
+    kept = arr[:, keep]
+    out = _lane_view(buf, keep.size)
+    out[...] = kept
+    return out
 
 
 def bp_decode_awgn(

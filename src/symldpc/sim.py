@@ -133,6 +133,8 @@ def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
     and a trial with any bit error is a word error.
     """
     _check_common(trials, seed)
+    if batch_size < 1:
+        raise BadParametersError(f"batch_size must be >= 1, got {batch_size}")
     wpt = _words_per_trial(code.length)
 
     def run_cell(cell: int) -> SimResult:

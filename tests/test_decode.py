@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from symldpc import (
     peel_decode_bec,
     run_awgn_sweep,
 )
+from symldpc import decode
 from symldpc.codes import ctranspose_witness
 from symldpc.decode import DEFAULT_MAX_ITERS, ERASED, LLR_CLIP
 from symldpc.exceptions import (
@@ -257,15 +260,52 @@ def test_decode_batch_matches_reference(case):
     _assert_same_decodes(*case)
 
 
+# With a pool of 1 to 3 lanes, the hypothesis batches (up to 12 words, some
+# split in two) and the geometry-code words refill lanes on every iteration,
+# words finish on and across the max_iters boundary, and the pool shrinks
+# word by word at the end of each call.
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@given(case=_decode_cases())
+@settings(max_examples=100, deadline=None)
+def test_narrow_lane_pools_match_reference(lanes, case):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decode, "LANES", lanes)
+        _assert_same_decodes(*case)
+
+
+def _assert_same_decodes_on_noise_and_near_ties(h):
+    rng = np.random.default_rng(11)
+    llrs = 2.0 + 1.5 * rng.standard_normal((300, h.ncols))
+    _assert_same_decodes(h, 4.0 * llrs / 1.5**2, DEFAULT_MAX_ITERS, split=123)
+
+    llrs = _near_tie_llrs(h, rng.standard_normal((300, h.ncols)), rng)
+    _assert_same_decodes(h, llrs, 1)
+
+
 @pytest.mark.parametrize("code_name", ["c22", "ct22", "c24", "ct24"])
 def test_decode_batch_matches_reference_on_geometry_codes(code_name, request):
-    code = request.getfixturevalue(code_name)
-    rng = np.random.default_rng(11)
-    llrs = 2.0 + 1.5 * rng.standard_normal((300, code.length))
-    _assert_same_decodes(code.h, 4.0 * llrs / 1.5**2, DEFAULT_MAX_ITERS, split=123)
+    _assert_same_decodes_on_noise_and_near_ties(request.getfixturevalue(code_name).h)
 
-    llrs = _near_tie_llrs(code.h, rng.standard_normal((300, code.length)), rng)
-    _assert_same_decodes(code.h, llrs, 1)
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("code_name", ["c22", "ct22", "c24", "ct24"])
+def test_narrow_lane_pools_match_reference_on_geometry_codes(
+    code_name, lanes, request, monkeypatch
+):
+    monkeypatch.setattr(decode, "LANES", lanes)
+    _assert_same_decodes_on_noise_and_near_ties(request.getfixturevalue(code_name).h)
+
+
+def test_decode_batch_keeps_no_state_on_the_decoder(c24):
+    # a sweep's cell threads share one decoder, so every buffer lives in the call
+    dec = SumProductDecoder(c24.h)
+    before = copy.deepcopy(vars(dec))
+    llrs = np.random.default_rng(4).standard_normal((decode.LANES + 9, c24.length))
+    dec.decode_batch(llrs, max_iters=3)
+    after = vars(dec)
+    assert after.keys() == before.keys()
+    for k, v in before.items():
+        assert type(after[k]) is type(v) and np.array_equal(after[k], v)
 
 
 def _near_tie_llrs(h, llrs, rng):

@@ -45,6 +45,16 @@ def test_awgn_counts_independent_of_batch_and_threads(ct22):
     assert base[0].word_errors > 0
 
 
+def test_threads_share_one_decoder_on_batches_wider_than_the_lane_pool(ct22):
+    from symldpc.decode import LANES
+
+    trials = 2 * LANES + 37
+    one = run_awgn_sweep(ct22, [1.0, 2.0, 3.0], trials, seed=10, threads=1)
+    two = run_awgn_sweep(ct22, [1.0, 2.0, 3.0], trials, seed=10, threads=2)
+    assert one == two
+    assert one[0].word_errors > 0
+
+
 def test_awgn_seed_changes_counts(ct22):
     a = run_awgn_sweep(ct22, [2.0], 500, seed=1)[0]
     b = run_awgn_sweep(ct22, [2.0], 500, seed=2)[0]
@@ -54,6 +64,14 @@ def test_awgn_seed_changes_counts(ct22):
 def test_awgn_invalid_parameters(ct22):
     with pytest.raises(BadParametersError):
         run_awgn_sweep(ct22, [1.0], 0, seed=1)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("sweep", [run_awgn_sweep, run_bec_sweep])
+def test_batch_size_below_one_is_rejected(ct22, sweep, batch_size):
+    # a batch of 0 trials would never finish the cell
+    with pytest.raises(BadParametersError, match="batch_size"):
+        sweep(ct22, [0.1], 10, 1, batch_size=batch_size)
 
 
 def test_wer_bounds_and_fields(ct22):
