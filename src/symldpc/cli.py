@@ -12,6 +12,11 @@ The alist interchange format, written bit-exactly:
 Single-space separation, every line newline-terminated.  `build` writes a
 sidecar JSON metadata file next to the alist; `analyze` picks it up
 automatically.  All simulate output is the fixed CSV schema from `sim`.
+
+`build_parser` is the one description of the flags: their names, defaults,
+choices and which are required.  Each subcommand handler takes the parsed
+`argparse.Namespace` as it is, and `--dry-run` prints that namespace (the
+subcommand's own flags plus `subcommand` and `dry_run`) as JSON.
 """
 
 from __future__ import annotations
@@ -19,38 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import codes, gf2, sim
 from .exceptions import BadParametersError, StructureViolationError, SymLdpcError
 from .gf import factor_prime_power
 from .incidence import SparseBitMatrix, diameter, girth, verify_structure
-
-
-@dataclass
-class CommandConfig:
-    """Parsed flags, echoed verbatim in --dry-run mode."""
-
-    subcommand: str
-    n: int | None = None
-    q: int | None = None
-    family: str | None = None
-    infile: str | None = None
-    out: str | None = None
-    fmt: str = "alist"
-    checks: str | None = None
-    budget: int | None = None
-    seed: int = 1
-    trials: int | None = None
-    channel: str = "awgn"
-    ebno: str | None = None
-    probs: str | None = None
-    max_iters: int = 50
-    baseline: str | None = None
-    baseline_seed: int | None = None
-    threads: int | None = None
-    dry_run: bool = False
 
 
 # -- alist ----------------------------------------------------------------
@@ -143,28 +122,25 @@ def _meta_path(out: str) -> Path:
     return Path(str(out) + ".meta.json")
 
 
-def cmd_build(cfg: CommandConfig) -> int:
-    if cfg.n is None or cfg.q is None or cfg.family is None or cfg.out is None:
-        raise BadParametersError("build requires --n, --q, --family and --out")
-    factor_prime_power(cfg.q)
-    code = codes.make_code(cfg.family, cfg.n, cfg.q)
-    if cfg.fmt != "alist":
-        raise BadParametersError(f"unknown build format {cfg.fmt!r}")
-    write_alist(code.h, cfg.out)
+def cmd_build(args: argparse.Namespace) -> int:
+    if args.fmt != "alist":
+        raise BadParametersError(f"unknown build format {args.fmt!r}")
+    code = codes.make_code(args.family, args.n, args.q)
+    write_alist(code.h, args.out)
     rho = len(code.h.row_support[0])
     gamma = len(code.h.col_support[0])
     meta = {
         "family": code.family,
-        "n": cfg.n,
-        "q": cfg.q,
+        "n": args.n,
+        "q": args.q,
         "rows": code.h.nrows,
         "cols": code.h.ncols,
         "rho": rho,
         "gamma": gamma,
         "girth": _jsonable(code.girth),
     }
-    _meta_path(cfg.out).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {code.h.nrows}x{code.h.ncols} alist to {cfg.out}")
+    _meta_path(args.out).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {code.h.nrows}x{code.h.ncols} alist to {args.out}")
     return 0
 
 
@@ -177,26 +153,24 @@ def _jsonable(value):
 ALL_CHECKS = ["structure", "girth", "diameter", "rank", "mindist", "stopdist", "witnesses"]
 
 
-def cmd_analyze(cfg: CommandConfig) -> int:
-    if cfg.infile is None:
-        raise BadParametersError("analyze requires --infile")
-    h = read_alist(cfg.infile)
-    family, n, q = cfg.family, cfg.n, cfg.q
-    meta_file = _meta_path(cfg.infile)
+def cmd_analyze(args: argparse.Namespace) -> int:
+    h = read_alist(args.infile)
+    family, n, q = args.family, args.n, args.q
+    meta_file = _meta_path(args.infile)
     if meta_file.exists():
         meta = json.loads(meta_file.read_text(encoding="utf-8"))
         family = family or meta.get("family")
         n = n if n is not None else meta.get("n")
         q = q if q is not None else meta.get("q")
-    checks = cfg.checks.split(",") if cfg.checks else list(ALL_CHECKS)
+    checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
     for c in checks:
         if c not in ALL_CHECKS:
             raise BadParametersError(f"unknown check {c!r}; choose from {ALL_CHECKS}")
-    if cfg.budget is not None and cfg.budget < 1:
-        raise BadParametersError(f"--budget must be >= 1, got {cfg.budget}")
+    if args.budget is not None and args.budget < 1:
+        raise BadParametersError(f"--budget must be >= 1, got {args.budget}")
     report: dict[str, dict] = {}
     for check in checks:
-        report[check] = _run_check(check, h, family, n, q, cfg.budget)
+        report[check] = _run_check(check, h, family, n, q, args.budget)
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(entry.get("status") not in ("fail", "error") for entry in report.values())
     return 0 if ok else 1
@@ -276,23 +250,26 @@ def _parse_sweep(text: str) -> list[float]:
         while v <= stop + 1e-9:
             out.append(round(v, 10))
             v += step
-        return out
-    return [float(p) for p in text.split(",") if p.strip()]
+    else:
+        out = [float(p) for p in text.split(",") if p.strip()]
+    if not out:
+        raise BadParametersError(f"sweep {text!r} has no points")
+    return out
 
 
-def _code_from_flags(cfg: CommandConfig) -> codes.CodeSpec:
-    if cfg.infile:
-        h = read_alist(cfg.infile)
+def _code_from_flags(args: argparse.Namespace) -> codes.CodeSpec:
+    if args.infile:
+        h = read_alist(args.infile)
         return codes.CodeSpec(
             family="alist",
             h=h,
             length=h.ncols,
             dimension=gf2.code_dimension(h),
-            code_id=Path(cfg.infile).stem,
+            code_id=Path(args.infile).stem,
         )
-    if cfg.family is None or cfg.n is None or cfg.q is None:
+    if args.family is None or args.n is None or args.q is None:
         raise BadParametersError("simulate requires --infile or --family/--n/--q")
-    return codes.make_code(cfg.family, cfg.n, cfg.q)
+    return codes.make_code(args.family, args.n, args.q)
 
 
 def _parse_gallager(text: str, seed: int) -> codes.CodeSpec:
@@ -305,59 +282,51 @@ def _parse_gallager(text: str, seed: int) -> codes.CodeSpec:
     return codes.gallager_random(length, col_wt, row_wt, seed)
 
 
-def cmd_simulate(cfg: CommandConfig) -> int:
-    if cfg.trials is None:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.trials is None:
         raise BadParametersError("simulate requires --trials")
-    if cfg.out is None:
-        raise BadParametersError("simulate requires --out")
-    code_list = [_code_from_flags(cfg)]
-    if cfg.baseline:
-        bseed = cfg.baseline_seed if cfg.baseline_seed is not None else cfg.seed
-        code_list.append(_parse_gallager(cfg.baseline, bseed))
-    if cfg.channel == "awgn":
-        if cfg.ebno is None:
+    code_list = [_code_from_flags(args)]
+    if args.baseline:
+        bseed = args.baseline_seed if args.baseline_seed is not None else args.seed
+        code_list.append(_parse_gallager(args.baseline, bseed))
+    if args.channel == "awgn":
+        if args.ebno is None:
             raise BadParametersError("awgn simulate requires --ebno")
-        params = _parse_sweep(cfg.ebno)
+        params = _parse_sweep(args.ebno)
         per_code = [
             sim.run_awgn_sweep(
-                c, params, cfg.trials, cfg.seed,
-                max_iters=cfg.max_iters, threads=cfg.threads,
+                c, params, args.trials, args.seed,
+                max_iters=args.max_iters, threads=args.threads,
             )
             for c in code_list
         ]
-    elif cfg.channel == "bec":
-        if cfg.probs is None:
+    else:
+        if args.probs is None:
             raise BadParametersError("bec simulate requires --probs")
-        params = _parse_sweep(cfg.probs)
+        params = _parse_sweep(args.probs)
         per_code = [
-            sim.run_bec_sweep(c, params, cfg.trials, cfg.seed, threads=cfg.threads)
+            sim.run_bec_sweep(c, params, args.trials, args.seed, threads=args.threads)
             for c in code_list
         ]
-    else:
-        raise BadParametersError(f"unknown channel {cfg.channel!r}")
     interleaved = [res[i] for i in range(len(params)) for res in per_code]
-    sim.results_to_csv(interleaved, cfg.out)
-    print(f"wrote {len(interleaved)} rows to {cfg.out}")
+    sim.results_to_csv(interleaved, args.out)
+    print(f"wrote {len(interleaved)} rows to {args.out}")
     return 0
 
 
-def cmd_export(cfg: CommandConfig) -> int:
-    if cfg.out is None:
-        raise BadParametersError("export requires --out")
-    if cfg.infile:
-        h = read_alist(cfg.infile)
-    elif cfg.baseline:
-        h = _parse_gallager(cfg.baseline, cfg.seed).h
+def cmd_export(args: argparse.Namespace) -> int:
+    if args.infile:
+        h = read_alist(args.infile)
+    elif args.baseline:
+        h = _parse_gallager(args.baseline, args.seed).h
     else:
         raise BadParametersError("export requires --infile or --baseline gallager:...")
-    if cfg.fmt == "alist":
-        write_alist(h, cfg.out)
-    elif cfg.fmt == "dense":
-        text = "\n".join(row.tobytes().decode("ascii") for row in h.toarray() + ord("0"))
-        Path(cfg.out).write_text(text + "\n", encoding="utf-8")
+    if args.fmt == "alist":
+        write_alist(h, args.out)
     else:
-        raise BadParametersError(f"unknown export format {cfg.fmt!r}")
-    print(f"wrote {h.nrows}x{h.ncols} matrix to {cfg.out}")
+        text = "\n".join(row.tobytes().decode("ascii") for row in h.toarray() + ord("0"))
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
+    print(f"wrote {h.nrows}x{h.ncols} matrix to {args.out}")
     return 0
 
 
@@ -402,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probs", help="erasure probability sweep for --channel bec")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max-iters", type=int, dest="max_iters", default=50)
+    p.add_argument("--max-iters", type=int, dest="max_iters", default=sim.DEFAULT_MAX_ITERS)
     p.add_argument("--baseline", help="second code, e.g. gallager:12,2,3")
     p.add_argument("--baseline-seed", type=int, dest="baseline_seed")
     p.add_argument("--threads", type=int, help="worker threads (default: SYMLDPC_THREADS or 1)")
@@ -420,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CommandConfig:
-    cfg = CommandConfig(subcommand=args.subcommand)
-    for key, value in vars(args).items():
-        if key != "subcommand" and hasattr(cfg, key):
-            setattr(cfg, key, value)
-    return cfg
-
-
 COMMANDS = {
     "build": cmd_build,
     "analyze": cmd_analyze,
@@ -438,12 +399,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.dry_run:
-        print(json.dumps(asdict(cfg), sort_keys=True))
+    if args.dry_run:
+        print(json.dumps(vars(args), sort_keys=True))
         return 0
     try:
-        return COMMANDS[cfg.subcommand](cfg)
+        return COMMANDS[args.subcommand](args)
     except SymLdpcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ pins the rank from below.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -48,7 +48,6 @@ class CodeSpec:
     n: int | None = None
     q: int | None = None
     labels: dict[str, str] | None = None
-    _girth: object = field(default=None, repr=False)
 
     @property
     def rate(self) -> float:
@@ -56,10 +55,8 @@ class CodeSpec:
 
     @property
     def girth(self):
-        """Girth of the Tanner graph of h (computed once, on demand)."""
-        if self._girth is None:
-            self._girth = graph_girth(self.h)
-        return self._girth
+        """Girth of the Tanner graph of h (computed once per matrix, on demand)."""
+        return graph_girth(self.h)
 
 
 def make_code(family: str, n: int, q: int) -> CodeSpec:

@@ -132,6 +132,10 @@ class SumProductDecoder:
             )
         if max_iters < 1:
             raise BadParametersError("max_iters must be >= 1")
+        # NaN LLRs decide bit 0, so an all-NaN word would "converge" to the
+        # zero codeword; +-inf is legal, since the LLRs are clipped on loading
+        if np.isnan(llrs).any():
+            raise BadParametersError("llr array contains NaN")
         batch = llrs.shape[0]
         bits_out = np.empty((batch, self.ncols), dtype=np.uint8)
         iters_out = np.empty(batch, dtype=np.int32)

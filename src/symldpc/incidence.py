@@ -11,6 +11,7 @@ families built in `codes`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,16 @@ class SparseBitMatrix:
         for i, row in enumerate(self.row_support):
             out[i, list(row)] = 1
         return out
+
+    @cached_property
+    def _tanner_bfs(self):
+        """(girth, diameter) of the Tanner graph, computed once per instance.
+
+        Cached on the instance, not by value: it is not a field, so equality
+        and hashing ignore it, and an equal matrix built elsewhere runs its
+        own BFS.
+        """
+        return _all_roots_bfs(self)
 
 
 @dataclass(frozen=True)
@@ -198,12 +209,12 @@ def _all_roots_bfs(h: SparseBitMatrix):
 
 def girth(h: SparseBitMatrix):
     """Length of the shortest cycle in the Tanner graph of h; infinity for forests."""
-    return _all_roots_bfs(h)[0]
+    return h._tanner_bfs[0]
 
 
 def diameter(h: SparseBitMatrix):
     """Maximum eccentricity in the Tanner graph of h; infinity when disconnected."""
-    return _all_roots_bfs(h)[1]
+    return h._tanner_bfs[1]
 
 
 def point_graph_components(space: SymSpace) -> int:

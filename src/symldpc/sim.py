@@ -178,6 +178,9 @@ def run_awgn_sweep(
     if code.dimension < 1:
         raise BadParametersError("AWGN Eb/N0 scaling needs code dimension >= 1")
     ebno_list = [float(e) for e in ebno_list]
+    for ebno in ebno_list:
+        if not np.isfinite(ebno):
+            raise BadParametersError(f"Eb/N0 must be finite, got {ebno}")
     decoder = SumProductDecoder(code.h)
     n = code.length
 

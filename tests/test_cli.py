@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symldpc import build_h, rank_gf2, sym_space
+from symldpc import build_h, codes, decode, incidence, rank_gf2, sim, sym_space
 from symldpc.cli import main, read_alist, write_alist
 from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
@@ -113,6 +113,21 @@ def test_build_transpose_dimensions(tmp_path):
     assert (h.nrows, h.ncols) == (64, 80)
 
 
+def test_build_refuses_unknown_format_before_building(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("make_code ran before the format check")
+
+    monkeypatch.setattr(codes, "make_code", no_build)
+    out = tmp_path / "h22.txt"
+    rc = main(
+        ["build", "--n", "2", "--q", "2", "--family", "symmetric",
+         "--format", "dense", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "unknown build format 'dense'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_rejects_non_prime_power(tmp_path, capsys):
     rc = main(
         ["build", "--n", "2", "--q", "6", "--family", "symmetric", "--out", str(tmp_path / "x")]
@@ -189,6 +204,20 @@ def test_analyze_four_cycle_alist(tmp_path, capsys):
     assert report["structure"]["status"] == "fail"
 
 
+def test_analyze_runs_one_tanner_bfs(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "h23.alist"
+    main(["build", "--n", "2", "--q", "3", "--family", "symmetric", "--out", str(out)])
+    capsys.readouterr()
+    calls = []
+    bfs = incidence._all_roots_bfs
+    monkeypatch.setattr(incidence, "_all_roots_bfs", lambda h: calls.append(h) or bfs(h))
+    rc = main(["analyze", "--infile", str(out), "--checks", "girth,diameter"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert (report["girth"]["value"], report["diameter"]["value"]) == (8, 6)
+    assert len(calls) == 1
+
+
 def test_simulate_with_baseline(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -221,6 +250,32 @@ def test_simulate_trials_required(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ebno", ["nan", "inf", "-inf", "0,nan"])
+def test_simulate_rejects_non_finite_ebno(tmp_path, capsys, ebno):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["simulate", "--family", "symmetric", "--n", "2", "--q", "2",
+         f"--ebno={ebno}", "--trials", "20", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "Eb/N0 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sweep", [["--ebno", "1:0:1"], ["--ebno", ","], ["--channel", "bec", "--probs", ""]]
+)
+def test_simulate_rejects_empty_sweep(tmp_path, capsys, sweep):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["simulate", "--family", "symmetric", "--n", "2", "--q", "2",
+         "--trials", "20", "--out", str(out)] + sweep
+    )
+    assert rc == 1
+    assert "has no points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_bec_channel(tmp_path):
     out = tmp_path / "bec.csv"
     rc = main(
@@ -243,6 +298,33 @@ def test_dry_run_echoes_config(capsys):
     assert cfg["n"] == 2 and cfg["q"] == 4
     assert cfg["ebno"] == "0:7:1"
     assert cfg["trials"] == 50000
+
+
+def test_dry_run_prints_only_the_subcommands_flags(capsys):
+    rc = main(
+        ["build", "--n", "2", "--q", "3", "--family", "symmetric", "--out", "h.alist", "--dry-run"]
+    )
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "subcommand": "build",
+        "n": 2,
+        "q": 3,
+        "family": "symmetric",
+        "out": "h.alist",
+        "fmt": "alist",
+        "dry_run": True,
+    }
+
+
+def test_max_iters_default_is_the_library_default(capsys, monkeypatch):
+    argv = ["simulate", "--ebno", "0", "--out", "r.csv", "--dry-run"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["max_iters"] == decode.DEFAULT_MAX_ITERS
+    # the parser keeps no copy of its own: it follows the library constant
+    monkeypatch.setattr(decode, "DEFAULT_MAX_ITERS", 17)
+    monkeypatch.setattr(sim, "DEFAULT_MAX_ITERS", 17)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["max_iters"] == 17
 
 
 def test_export_normalizes_and_exports_gallager(tmp_path):

@@ -355,6 +355,20 @@ def test_decoder_input_validation(ct22):
         bp_decode_awgn(ct22, np.zeros(12), max_iters=0)
 
 
+def test_nan_llrs_are_refused_and_infinite_ones_clipped(ct22):
+    with pytest.raises(BadParametersError, match="NaN"):
+        bp_decode_awgn(ct22, np.full(12, np.nan))
+    llrs = np.full((3, 12), 4.0)
+    llrs[1, 5] = np.nan
+    with pytest.raises(BadParametersError, match="NaN"):
+        SumProductDecoder(ct22.h).decode_batch(llrs)
+    signs = np.where(np.arange(12) % 4 == 0, -1.0, 1.0)
+    infinite = SumProductDecoder(ct22.h).decode_batch((signs * np.inf)[None, :])
+    clipped = SumProductDecoder(ct22.h).decode_batch((signs * LLR_CLIP)[None, :])
+    for got, want in zip(infinite, clipped):
+        assert np.array_equal(got, want)
+
+
 def test_paired_seed_word_errors_drop_with_snr(ct22):
     low = run_awgn_sweep(ct22, [2.0], 1000, seed=99)[0]
     high = run_awgn_sweep(ct22, [8.0], 1000, seed=99)[0]

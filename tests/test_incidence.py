@@ -175,6 +175,21 @@ def test_bfs_root_blocks_split(monkeypatch, n, q):
         assert diameter(m) == reference_diameter(m)
 
 
+def test_tanner_bfs_runs_once_per_matrix_instance(monkeypatch):
+    calls = []
+    bfs = incidence._all_roots_bfs
+    monkeypatch.setattr(incidence, "_all_roots_bfs", lambda h: calls.append(h) or bfs(h))
+    h = build_h(sym_space(2, 3))
+    twin = build_h(sym_space(2, 3))
+    assert (girth(h), diameter(h), girth(h)) == (8, 6, 8)
+    assert len(calls) == 1
+    # the cache belongs to the instance: equality and hashing ignore it, and
+    # an equal matrix runs its own BFS
+    assert twin == h and hash(twin) == hash(h)
+    assert diameter(twin) == 6
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_expected_eight_cycle_is_present(n, q):
     # the cycle through 0, corner(1,0,0), corner(1,0,1), corner(0,0,1) and

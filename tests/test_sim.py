@@ -66,6 +66,12 @@ def test_awgn_invalid_parameters(ct22):
         run_awgn_sweep(ct22, [1.0], 0, seed=1)
 
 
+@pytest.mark.parametrize("ebno", [float("nan"), float("inf"), float("-inf")])
+def test_awgn_rejects_non_finite_ebno(ct22, ebno):
+    with pytest.raises(BadParametersError, match="Eb/N0 must be finite"):
+        run_awgn_sweep(ct22, [1.0, ebno], 20, seed=1)
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 @pytest.mark.parametrize("sweep", [run_awgn_sweep, run_bec_sweep])
 def test_batch_size_below_one_is_rejected(ct22, sweep, batch_size):
