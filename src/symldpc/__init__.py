@@ -15,6 +15,7 @@ from .codes import (
     CodeSpec,
     c2q_witness,
     certified_min_distance,
+    certified_stopping_distance,
     ctranspose_witness,
     gallager_random,
     independent_row_family,
@@ -77,6 +78,7 @@ __all__ = [
     "build_h",
     "c2q_witness",
     "certified_min_distance",
+    "certified_stopping_distance",
     "code_dimension",
     "columns_sum_zero",
     "ctranspose_witness",

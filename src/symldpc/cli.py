@@ -10,8 +10,13 @@ The alist interchange format, written bit-exactly:
     next M lines: 1-based column indices per row, zero-padded to max_row_wt
 
 Single-space separation, every line newline-terminated.  `build` writes a
-sidecar JSON metadata file next to the alist; `analyze` picks it up
-automatically.  All simulate output is the fixed CSV schema from `sim`.
+sidecar JSON metadata file next to the alist.  `analyze` and `simulate`
+work on one `codes.CodeSpec`, made by `_load_code`: from the alist, with
+family, n and q taken from the flags or else the sidecar, or by
+`make_code` from the flags.  `analyze` reports the transpose family's
+distances from the codes certificates and searches otherwise.  All
+simulate output is the fixed CSV schema from `sim`.  Bad input (files,
+sidecar values, sweep items) ends in one `error:` line and exit status 1.
 
 `build_parser` is the one description of the flags: their names, defaults,
 choices and which are required.  Each subcommand handler takes the parsed
@@ -28,7 +33,6 @@ from pathlib import Path
 
 from . import codes, gf2, sim
 from .exceptions import BadParametersError, StructureViolationError, SymLdpcError
-from .gf import factor_prime_power
 from .incidence import SparseBitMatrix, diameter, girth, verify_structure
 
 
@@ -154,14 +158,7 @@ ALL_CHECKS = ["structure", "girth", "diameter", "rank", "mindist", "stopdist", "
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    h = read_alist(args.infile)
-    family, n, q = args.family, args.n, args.q
-    meta_file = _meta_path(args.infile)
-    if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        family = family or meta.get("family")
-        n = n if n is not None else meta.get("n")
-        q = q if q is not None else meta.get("q")
+    code = _load_code(args)
     checks = args.checks.split(",") if args.checks else list(ALL_CHECKS)
     for c in checks:
         if c not in ALL_CHECKS:
@@ -170,19 +167,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise BadParametersError(f"--budget must be >= 1, got {args.budget}")
     report: dict[str, dict] = {}
     for check in checks:
-        report[check] = _run_check(check, h, family, n, q, args.budget)
+        report[check] = _run_check(check, code, args.budget)
     print(json.dumps(report, indent=2, sort_keys=True))
     ok = all(entry.get("status") not in ("fail", "error") for entry in report.values())
     return 0 if ok else 1
 
 
-def _run_check(check, h, family, n, q, budget) -> dict:
+def _run_check(check: str, code: codes.CodeSpec, budget: int | None) -> dict:
+    h = code.h
     if check == "structure":
-        if n is None or q is None:
+        if code.n is None or code.q is None:
             return {"status": "error", "detail": "structure check needs --n and --q"}
-        oriented = h.transpose() if family == codes.FAMILY_TRANSPOSE else h
+        oriented = h.transpose() if code.family == codes.FAMILY_TRANSPOSE else h
         try:
-            rep = verify_structure(oriented, n, q)
+            rep = verify_structure(oriented, code.n, code.q)
         except StructureViolationError as exc:
             return {"status": "fail", "detail": str(exc)}
         return {"status": "pass", "rho": rep.rho, "gamma": rep.gamma, "lambda_max": rep.lambda_max}
@@ -191,14 +189,15 @@ def _run_check(check, h, family, n, q, budget) -> dict:
     if check == "diameter":
         return {"status": "ok", "value": _jsonable(diameter(h))}
     if check == "rank":
-        r = gf2.rank_gf2(h)
-        return {"status": "ok", "value": r, "dimension": h.ncols - r}
+        return {"status": "ok", "value": code.length - code.dimension, "dimension": code.dimension}
     if check == "mindist":
-        return _distance_entry(gf2.min_distance(h, budget=6 if budget is None else budget))
+        res = codes.certified_min_distance(code)
+        return _distance_entry(res or gf2.min_distance(h, budget=6 if budget is None else budget))
     if check == "stopdist":
-        return _distance_entry(gf2.stopping_distance(h, budget=budget))
+        res = codes.certified_stopping_distance(code)
+        return _distance_entry(res or gf2.stopping_distance(h, budget=budget))
     if check == "witnesses":
-        return _witness_check(h, family, n, q)
+        return _witness_check(code)
     raise AssertionError(check)
 
 
@@ -206,18 +205,15 @@ def _distance_entry(res: gf2.DistanceResult) -> dict:
     return {"status": "ok", "value": res.value, "exactness": res.status, "method": res.method}
 
 
-def _witness_check(h, family, n, q) -> dict:
+def _witness_check(code: codes.CodeSpec) -> dict:
+    h, family, n, q = code.h, code.family, code.n, code.q
     if family not in (codes.FAMILY_SYMMETRIC, codes.FAMILY_TRANSPOSE) or n is None or q is None:
         return {
             "status": "error",
             "detail": "witness checks need a symmetric-family alist with --family/--n/--q",
         }
     out: dict = {"status": "pass"}
-    witness = None
-    if family == codes.FAMILY_TRANSPOSE:
-        witness = codes.ctranspose_witness(n, q)
-    elif factor_prime_power(q)[0] == 2 and n == 2:
-        witness = codes.c2q_witness(q)
+    witness = codes.family_witness(code)
     if witness is not None:
         ok = gf2.columns_sum_zero(h, witness)
         out["dependent_columns"] = sorted(witness)
@@ -226,6 +222,10 @@ def _witness_check(h, family, n, q) -> dict:
             out["status"] = "fail"
     if family == codes.FAMILY_SYMMETRIC:
         rows = codes.independent_row_family(n, q)
+        if max(rows) >= h.nrows:
+            raise StructureViolationError(
+                f"{code.code_id}: independent row {max(rows)} is outside the {h.nrows} rows of h"
+            )
         sub = SparseBitMatrix.from_rows(
             len(rows), h.ncols, (h.row_support[i] for i in sorted(rows))
         )
@@ -238,11 +238,17 @@ def _witness_check(h, family, n, q) -> dict:
 
 
 def _parse_sweep(text: str) -> list[float]:
+    def number(part: str) -> float:
+        try:
+            return float(part)
+        except ValueError:
+            raise BadParametersError(f"sweep {text!r}: {part!r} is not a number")
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise BadParametersError(f"sweep range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (number(p) for p in parts)
         if step <= 0:
             raise BadParametersError("sweep step must be positive")
         out = []
@@ -251,25 +257,46 @@ def _parse_sweep(text: str) -> list[float]:
             out.append(round(v, 10))
             v += step
     else:
-        out = [float(p) for p in text.split(",") if p.strip()]
+        out = [number(p) for p in text.split(",") if p.strip()]
     if not out:
         raise BadParametersError(f"sweep {text!r} has no points")
     return out
 
 
-def _code_from_flags(args: argparse.Namespace) -> codes.CodeSpec:
-    if args.infile:
-        h = read_alist(args.infile)
-        return codes.CodeSpec(
-            family="alist",
-            h=h,
-            length=h.ncols,
-            dimension=gf2.code_dimension(h),
-            code_id=Path(args.infile).stem,
-        )
-    if args.family is None or args.n is None or args.q is None:
-        raise BadParametersError("simulate requires --infile or --family/--n/--q")
-    return codes.make_code(args.family, args.n, args.q)
+def _load_code(args: argparse.Namespace) -> codes.CodeSpec:
+    """The code that analyze and simulate work on.
+
+    With --infile, h is read from the alist and the file stem is the code
+    id; family, n and q come from the flags, else the build sidecar, else
+    the family is "alist", and CodeSpec checks them.  Otherwise make_code
+    builds the code from the flags.
+    """
+    if not args.infile:
+        if args.family is None or args.n is None or args.q is None:
+            raise BadParametersError("simulate requires --infile or --family/--n/--q")
+        return codes.make_code(args.family, args.n, args.q)
+    h = read_alist(args.infile)
+    meta = _read_meta(_meta_path(args.infile))
+    return codes.CodeSpec(
+        family=args.family or meta.get("family") or "alist",
+        h=h,
+        code_id=Path(args.infile).stem,
+        n=meta.get("n") if args.n is None else args.n,
+        q=meta.get("q") if args.q is None else args.q,
+    )
+
+
+def _read_meta(path: Path) -> dict:
+    """The sidecar next to an alist as a dict; empty when there is none."""
+    if not path.exists():
+        return {}
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise BadParametersError(f"{path}: not JSON: {exc}")
+    if not isinstance(meta, dict):
+        raise BadParametersError(f"{path}: expected a JSON object, got {type(meta).__name__}")
+    return meta
 
 
 def _parse_gallager(text: str, seed: int) -> codes.CodeSpec:
@@ -285,7 +312,7 @@ def _parse_gallager(text: str, seed: int) -> codes.CodeSpec:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials is None:
         raise BadParametersError("simulate requires --trials")
-    code_list = [_code_from_flags(args)]
+    code_list = [_load_code(args)]
     if args.baseline:
         bseed = args.baseline_seed if args.baseline_seed is not None else args.seed
         code_list.append(_parse_gallager(args.baseline, bseed))
@@ -404,7 +431,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return COMMANDS[args.subcommand](args)
-    except SymLdpcError as exc:
+    except (SymLdpcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,20 +1,26 @@
 """Code objects: the two symmetric-geometry families and random baselines.
 
-`make_code` wraps an incidence matrix (or its transpose) as a CodeSpec
-with its true length and dimension.  The explicit witness constructions
-certify distances directly: `ctranspose_witness` returns 2q lines whose
-transpose columns sum to zero, and `c2q_witness` returns 4q points (square
-field sizes only) met by every line in 0 or 2 positions.
-`independent_row_family` selects rows that are provably independent, which
-pins the rank from below.
+A CodeSpec is the one description of a code: its family, its parity-check
+matrix h, an id, and (n, q) for the geometry families.  Whatever h
+determines (length, dimension, girth, row/column labels) is derived from
+it on demand.  `make_code` wraps an incidence matrix (or its transpose).
+The explicit witness constructions certify distances directly:
+`ctranspose_witness` returns 2q lines whose transpose columns sum to zero,
+and `c2q_witness` returns 4q points (square field sizes only) met by every
+line in 0 or 2 positions; `family_witness` says which one fits a code.
+`certified_min_distance` and `certified_stopping_distance` meet the
+transpose witness with the girth-8 bound.  `independent_row_family`
+selects rows that are provably independent, which pins the rank from
+below.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -38,20 +44,43 @@ def sym_space(n: int, q: int) -> SymSpace:
 
 @dataclass(eq=False)
 class CodeSpec:
-    """A binary linear code given by its parity-check matrix."""
+    """A binary linear code: its parity-check matrix h and what h cannot give."""
 
     family: str
     h: SparseBitMatrix
-    length: int
-    dimension: int
     code_id: str
     n: int | None = None
     q: int | None = None
-    labels: dict[str, str] | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise BadParametersError(f"family must be a string, got {self.family!r}")
+        for name, least in (("n", 1), ("q", 2)):
+            value = getattr(self, name)
+            integer = isinstance(value, Integral) and not isinstance(value, bool)
+            if value is not None and not (integer and value >= least):
+                raise BadParametersError(f"{name} must be an integer >= {least}, got {value!r}")
+
+    @property
+    def length(self) -> int:
+        return self.h.ncols
+
+    @cached_property
+    def dimension(self) -> int:
+        return gf2.code_dimension(self.h)
 
     @property
     def rate(self) -> float:
         return self.dimension / self.length
+
+    @property
+    def labels(self) -> dict[str, str] | None:
+        """What the rows and columns of h stand for in the two geometry families."""
+        if self.family == FAMILY_SYMMETRIC:
+            return {"rows": "lines", "cols": "points"}
+        if self.family == FAMILY_TRANSPOSE:
+            return {"rows": "points", "cols": "lines"}
+        return None
 
     @property
     def girth(self):
@@ -65,26 +94,10 @@ def make_code(family: str, n: int, q: int) -> CodeSpec:
         raise BadParametersError(
             f"unknown family {family!r}; expected {FAMILY_SYMMETRIC!r} or {FAMILY_TRANSPOSE!r}"
         )
-    space = sym_space(n, q)
-    h_lines = build_h(space)
+    h = build_h(sym_space(n, q))
     if family == FAMILY_SYMMETRIC:
-        h = h_lines
-        code_id = f"C({n},{q})"
-        labels = {"rows": "lines", "cols": "points"}
-    else:
-        h = h_lines.transpose()
-        code_id = f"CT({n},{q})"
-        labels = {"rows": "points", "cols": "lines"}
-    return CodeSpec(
-        family=family,
-        h=h,
-        length=h.ncols,
-        dimension=gf2.code_dimension(h),
-        code_id=code_id,
-        n=n,
-        q=q,
-        labels=labels,
-    )
+        return CodeSpec(family=family, h=h, code_id=f"C({n},{q})", n=n, q=q)
+    return CodeSpec(family=family, h=h.transpose(), code_id=f"CT({n},{q})", n=n, q=q)
 
 
 def ctranspose_witness(n: int, q: int) -> frozenset[int]:
@@ -190,20 +203,43 @@ def transpose_dimension_bound(n: int, q: int) -> int:
     return r - c + symmetric_dimension_bound(n, q)
 
 
-def certified_min_distance(code: CodeSpec) -> gf2.DistanceResult | None:
+def family_witness(code: CodeSpec) -> frozenset[int] | None:
+    """`ctranspose_witness` for the transpose family, `c2q_witness` for n = 2, even q, else None.
+
+    A witness column past h, from (n, q) that do not fit h, is refused.
+    """
+    if code.n is None or code.q is None:
+        return None
+    if code.family == FAMILY_TRANSPOSE:
+        witness = ctranspose_witness(code.n, code.q)
+    elif code.family == FAMILY_SYMMETRIC and code.n == 2 and code.q % 2 == 0:
+        witness = c2q_witness(code.q)
+    else:
+        return None
+    if max(witness) >= code.h.ncols:
+        raise StructureViolationError(
+            f"{code.code_id}: witness column {max(witness)} is outside the "
+            f"{code.h.ncols} columns of h"
+        )
+    return witness
+
+
+def _certify(code: CodeSpec, holds) -> gf2.DistanceResult | None:
     """Exact distance by witness plus girth bound, where the two meet.
 
-    For the transpose family the girth-8 bound gives 2q and the explicit
-    2q-line witness matches it, so the distance is certified without any
-    search.  Returns None when no certificate applies.
+    For the transpose family at girth 8, the tree bound of Orlitsky,
+    Urbanke, Viswanathan and Zhang (ISIT 2002) gives d >= s >= 2 * gamma
+    for h's minimum column weight gamma, and the 2q-line witness meets it.
+    Only the witness depends on family, n and q; the girth, the bound and
+    `holds(h, witness)` come from h, so metadata that does not fit h is
+    refused.  The family is tested before the costly girth.  None when no
+    certificate applies.
     """
-    if code.family != FAMILY_TRANSPOSE or code.n is None or code.q is None:
+    witness = family_witness(code) if code.family == FAMILY_TRANSPOSE else None
+    if witness is None or code.girth != 8:
         return None
-    if code.girth != 8:
-        return None
-    witness = ctranspose_witness(code.n, code.q)
-    bound = gf2.tanner_lower_bound(8, code.q)
-    if len(witness) != bound or not gf2.columns_sum_zero(code.h, witness):
+    bound = gf2.tanner_lower_bound(8, min(len(c) for c in code.h.col_support))
+    if len(witness) != bound or not holds(code.h, witness):
         raise StructureViolationError(
             f"{code.code_id}: witness of {len(witness)} columns does not certify "
             f"the girth bound {bound}"
@@ -214,6 +250,20 @@ def certified_min_distance(code: CodeSpec) -> gf2.DistanceResult | None:
         witness=witness,
         method=gf2.METHOD_WITNESS_PLUS_BOUND,
     )
+
+
+def certified_min_distance(code: CodeSpec) -> gf2.DistanceResult | None:
+    """Exact minimum distance of a transpose-family code: its witness columns sum to zero."""
+    return _certify(code, gf2.columns_sum_zero)
+
+
+def certified_stopping_distance(code: CodeSpec) -> gf2.DistanceResult | None:
+    """Exact stopping distance of a transpose-family code.
+
+    A codeword's support is a stopping set, so the same 2q-line witness
+    is checked with `gf2.is_stopping_set`.
+    """
+    return _certify(code, gf2.is_stopping_set)
 
 
 def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpec:
@@ -244,10 +294,4 @@ def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpe
     h = SparseBitMatrix.from_rows(nrows, length, rows)
     if any(len(c) != col_wt for c in h.col_support):
         raise StructureViolationError(f"band ensemble column weight is not {col_wt}")
-    return CodeSpec(
-        family=FAMILY_GALLAGER,
-        h=h,
-        length=length,
-        dimension=gf2.code_dimension(h),
-        code_id=f"G({length},{col_wt},{row_wt},s{seed})",
-    )
+    return CodeSpec(family=FAMILY_GALLAGER, h=h, code_id=f"G({length},{col_wt},{row_wt},s{seed})")

@@ -8,9 +8,11 @@ j, built straight from the supports.  Rank and null space come from one
 Gauss-Jordan pass over those rows, which yields the unique reduced row
 echelon form.
 
-Exactness is explicit: DistanceResult.status says whether a search
-exhausted everything below the reported value or only proved a lower
-bound within its budget.
+The stopping-set search is a branch and bound pruned by counting: a
+partial support with L rows hit once needs at least ceil(L / gamma_max)
+more columns.  Exactness is explicit: DistanceResult.status says whether
+a search exhausted everything below the reported value or only proved a
+lower bound within its budget.
 """
 
 from __future__ import annotations
@@ -330,8 +332,11 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
     support with no lonely rows already is a stopping set.  The search
     rooted at column j0 adds no column below j0: a stopping set whose
     smallest column is m is reached inside itself from root m, so the
-    roots together stay exhaustive.  Exact when the search space below
-    the found size is exhausted within the budget.
+    roots together stay exhaustive.  A column meets at most gamma_max
+    rows (h's largest column weight), so L lonely rows need at least
+    ceil(L / gamma_max) more columns; a branch stops once that count
+    reaches the size bound.  Exact when the search space below the found
+    size is exhausted within the budget.
     """
     if budget is not None:
         _check_budget(budget)
@@ -343,6 +348,7 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
     if budget is None:
         budget = h.ncols
     rows, cols = h.row_support, h.col_support
+    gamma_max = max(len(c) for c in cols)
     hits = [0] * h.nrows
     in_support = [False] * h.ncols
     support: list[int] = []
@@ -365,8 +371,9 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
             best = tuple(support)
         else:
             row = (lonely & -lonely).bit_length() - 1
+            need = -(-lonely.bit_count() // gamma_max)
             for k in rows[row]:
-                if len(support) + 1 >= bound:
+                if len(support) + need >= bound:
                     break
                 if k >= floor and not in_support[k]:
                     grow(k)

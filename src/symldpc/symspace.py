@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exceptions import (
     BadParametersError,
@@ -83,8 +84,6 @@ class SymSpace:
         self.size = self.q**self.dim
         self._coords = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         self._pos = {c: k for k, c in enumerate(self._coords)}
-        self._rank_one: tuple[tuple[int, ...], ...] | None = None
-        self._directions: tuple[tuple[int, ...], ...] | None = None
         self._lines: tuple[Line, ...] | None = None
         self._line_index: dict[tuple[int, ...], int] | None = None
 
@@ -290,46 +289,37 @@ class SymSpace:
 
     # -- rank-1 points and lines ------------------------------------------------
 
-    def _rank_one_entries_for(self, n: int) -> list[tuple[int, ...]]:
-        # Constructive enumeration: either the first row is zero and the
-        # matrix is a rank-1 point of the (n-1)-block, or s11 != 0 and all
-        # entries are determined by the first row via s_ij = s11^-1 s_1i s_1j.
-        ft = self.field
-        q = self.q
-        if n == 1:
-            return [(s,) for s in range(1, q)]
-        out: list[tuple[int, ...]] = []
-        mul = ft.mul_table
-        for s11 in range(1, q):
-            iv = ft.inv_table[s11]
-            for rest in itertools.product(range(q), repeat=n - 1):
-                row1 = (s11,) + rest
-                ent = []
-                for i in range(n):
-                    ri = mul[iv][row1[i]]
-                    for j in range(i, n):
-                        ent.append(mul[ri][row1[j]])
-                out.append(tuple(ent))
-        for sub in self._rank_one_entries_for(n - 1):
-            out.append((0,) * n + sub)
-        return out
+    @cached_property
+    def _directions(self) -> tuple[tuple[int, ...], ...]:
+        # a rank-1 symmetric matrix is c * u u^T; scaling u so that its first
+        # nonzero entry is 1 gives one u per scalar class, and u u^T then has
+        # leading upper-triangular entry u_k^2 = 1
+        mul = self.field.mul_table
+        dirs = tuple(
+            tuple(mul[u[i - 1]][u[j - 1]] for i, j in self._coords)
+            for u in itertools.product(range(self.q), repeat=self.n)
+            if next((x for x in u if x), None) == 1
+        )
+        if len(dirs) != (self.q**self.n - 1) // (self.q - 1):
+            raise StructureViolationError(f"{len(dirs)} directions, expected (q^n - 1)/(q - 1)")
+        return dirs
+
+    @cached_property
+    def _rank_one(self) -> tuple[tuple[int, ...], ...]:
+        mul = self.field.mul_table
+        ents = tuple(
+            tuple(mul[c][e] for e in d) for c in range(1, self.q) for d in self._directions
+        )
+        if len(set(ents)) != self.q**self.n - 1:
+            raise StructureViolationError(f"{len(set(ents))} distinct rank-1 points, expected q^n - 1")
+        return ents
 
     def rank_one_entries(self) -> tuple[tuple[int, ...], ...]:
-        """Entry vectors of all q^n - 1 rank-1 points."""
-        if self._rank_one is None:
-            ents = self._rank_one_entries_for(self.n)
-            if len(ents) != self.q**self.n - 1:
-                raise StructureViolationError(f"{len(ents)} rank-1 points, expected q^n - 1")
-            self._rank_one = tuple(ents)
+        """Entry vectors of all q^n - 1 rank-1 points, c * u u^T for c != 0."""
         return self._rank_one
 
     def direction_entries(self) -> tuple[tuple[int, ...], ...]:
-        """One rank-1 representative per scalar class: first nonzero entry is 1."""
-        if self._directions is None:
-            dirs = [e for e in self.rank_one_entries() if next(x for x in e if x) == 1]
-            if len(dirs) != (self.q**self.n - 1) // (self.q - 1):
-                raise StructureViolationError(f"{len(dirs)} directions, expected (q^n - 1)/(q - 1)")
-            self._directions = tuple(dirs)
+        """One rank-1 representative per scalar class, u u^T: first nonzero entry is 1."""
         return self._directions
 
     def deleted_neighbourhood(self, s: SymPoint, delta: int = 1) -> set[SymPoint]:

@@ -366,3 +366,108 @@ def test_exit_zero_iff_checks_pass(tmp_path, capsys):
     # stripping the metadata forces the structure check to error out
     (tmp_path / "h.alist.meta.json").unlink()
     assert main(["analyze", "--infile", str(out), "--checks", "structure"]) == 1
+
+
+def test_analyze_certifies_ct28_distances(tmp_path, capsys):
+    # the support search refuses CT(2,8) at this budget; the witness meets the girth bound
+    out = tmp_path / "ct28.alist"
+    main(["build", "--n", "2", "--q", "8", "--family", "symmetric_transpose", "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["analyze", "--infile", str(out), "--checks", "mindist,stopdist", "--budget", "16"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    for check in ("mindist", "stopdist"):
+        entry = report[check]
+        assert (entry["value"], entry["exactness"], entry["method"]) == (
+            16, "exact", "witness_plus_bound"
+        )
+
+
+@pytest.mark.parametrize(
+    "family,q,meta_q,checks",
+    [
+        ("symmetric_transpose", 3, 4, "mindist"),
+        ("symmetric_transpose", 3, 4, "stopdist"),
+        ("symmetric_transpose", 3, 4, "witnesses"),
+        ("symmetric_transpose", 4, 3, "mindist,stopdist"),
+        ("symmetric", 2, 3, "witnesses"),
+    ],
+)
+def test_analyze_refuses_a_sidecar_that_does_not_fit_the_matrix(
+    tmp_path, capsys, family, q, meta_q, checks
+):
+    out = tmp_path / "h.alist"
+    main(["build", "--n", "2", "--q", str(q), "--family", family, "--out", str(out)])
+    meta_file = tmp_path / "h.alist.meta.json"
+    meta_file.write_text(json.dumps({**json.loads(meta_file.read_text()), "q": meta_q}))
+    capsys.readouterr()
+    rc = main(["analyze", "--infile", str(out), "--checks", checks])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "sidecar,message",
+    [
+        ("{not json", "not JSON"),
+        ("[2, 2]", "expected a JSON object"),
+        ('{"family": "symmetric", "n": "2", "q": 2}', "n must be an integer >= 1, got '2'"),
+        ('{"family": "symmetric", "n": 2, "q": 1}', "q must be an integer >= 2, got 1"),
+        ('{"family": "symmetric", "n": true, "q": 2}', "n must be an integer >= 1, got True"),
+        ('{"family": 5, "n": 2, "q": 2}', "family must be a string, got 5"),
+    ],
+)
+def test_analyze_rejects_a_malformed_sidecar(tmp_path, capsys, sidecar, message):
+    out = tmp_path / "h.alist"
+    main(["build", "--n", "2", "--q", "2", "--family", "symmetric", "--out", str(out)])
+    (tmp_path / "h.alist.meta.json").write_text(sidecar)
+    capsys.readouterr()
+    rc = main(["analyze", "--infile", str(out), "--checks", "structure"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_analyze_rejects_field_size_below_two(tmp_path, capsys):
+    out = tmp_path / "h.alist"
+    main(["build", "--n", "2", "--q", "2", "--family", "symmetric", "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["analyze", "--infile", str(out), "--q", "1", "--checks", "structure"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: q must be an integer >= 2, got 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--infile", "{tmp}/missing.alist"],
+        ["simulate", "--infile", "{tmp}/missing.alist", "--ebno", "1", "--trials", "5",
+         "--out", "{tmp}/r.csv"],
+        ["export", "--infile", "{tmp}/missing.alist", "--out", "{tmp}/e.alist"],
+        ["build", "--n", "2", "--q", "2", "--family", "symmetric", "--out", "{tmp}/no/h.alist"],
+        ["simulate", "--family", "symmetric", "--n", "2", "--q", "2", "--ebno", "1",
+         "--trials", "5", "--out", "{tmp}/no/r.csv"],
+    ],
+)
+def test_missing_files_end_in_an_error_line(tmp_path, capsys, argv):
+    rc = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "No such file or directory" in captured.err
+
+
+@pytest.mark.parametrize("ebno", ["abc", "0:x:1", "1,two"])
+def test_simulate_rejects_a_sweep_that_is_not_numbers(tmp_path, capsys, ebno):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["simulate", "--family", "symmetric", "--n", "2", "--q", "2",
+         "--ebno", ebno, "--trials", "20", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "is not a number" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import pytest
 from symldpc import (
     FAMILY_SYMMETRIC,
     FAMILY_TRANSPOSE,
+    CodeSpec,
     c2q_witness,
     certified_min_distance,
+    certified_stopping_distance,
     columns_sum_zero,
     ctranspose_witness,
     gallager_random,
@@ -17,10 +20,12 @@ from symldpc import (
     make_code,
     min_distance,
     rank_gf2,
+    stopping_distance,
     sym_space,
     symmetric_dimension_bound,
     transpose_dimension_bound,
 )
+from symldpc import gf2
 from symldpc.exceptions import BadCharacteristicError, BadParametersError, StructureViolationError
 from symldpc.incidence import SparseBitMatrix
 
@@ -211,3 +216,42 @@ def test_c25_documented_distance_consistent_with_girth_bound():
     assert tanner_lower_bound(8, gamma) == 12 <= 20
     with pytest.raises(BadCharacteristicError):
         c2q_witness(5)  # no dependent-point witness exists in odd characteristic
+
+
+def test_codespec_stores_only_what_h_cannot_give(monkeypatch):
+    assert [f.name for f in dataclasses.fields(CodeSpec)] == ["family", "h", "code_id", "n", "q"]
+    calls = []
+    rank = gf2.rank_gf2
+    monkeypatch.setattr(gf2, "rank_gf2", lambda h: calls.append(h) or rank(h))
+    code = make_code(FAMILY_TRANSPOSE, 2, 3)
+    gallager = gallager_random(12, 2, 3, seed=5)
+    assert calls == []  # building reads no rank
+    assert code.length == code.h.ncols == 36 and gallager.labels is None
+    assert code.dimension == 36 - rank(code.h)
+    assert code.dimension == 36 - rank(code.h)
+    assert len(calls) == 1  # the dimension is computed once, on first use
+    for bad in ({"n": "2"}, {"n": 0}, {"q": 1}, {"q": True}, {"family": None}):
+        with pytest.raises(BadParametersError):
+            CodeSpec(**{"family": FAMILY_TRANSPOSE, "h": code.h, "code_id": "x", **bad})
+
+
+def test_certified_stopping_distance_matches_search(c22, ct22, ct23):
+    for code in (ct22, ct23):
+        res = certified_stopping_distance(code)
+        assert (res.value, res.status, res.method) == (
+            stopping_distance(code.h).value, "exact", "witness_plus_bound"
+        )
+    assert certified_stopping_distance(c22) is None
+    assert certified_stopping_distance(gallager_random(12, 2, 3, seed=5)) is None
+
+
+@pytest.mark.parametrize("certify", [certified_min_distance, certified_stopping_distance])
+@pytest.mark.parametrize("meta_q", [4, 5])
+def test_certificates_take_the_bound_from_h_not_from_q(ct23, ct24, certify, meta_q):
+    # CT(2,4) labelled q = 3 gets the 6-line CT(2,3) witness, below its bound 2 * 4;
+    # CT(2,3) labelled q = 4 or 5 gets line indices past its 36 columns
+    wrong = [CodeSpec(FAMILY_TRANSPOSE, ct24.h, "CT(2,4)?", n=2, q=3)]
+    wrong.append(CodeSpec(FAMILY_TRANSPOSE, ct23.h, "CT(2,3)?", n=2, q=meta_q))
+    for code in wrong:
+        with pytest.raises(StructureViolationError):
+            certify(code)

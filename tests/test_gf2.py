@@ -10,11 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symldpc import (
+    FAMILY_SYMMETRIC,
     SparseBitMatrix,
     build_h,
     code_dimension,
     columns_sum_zero,
     is_stopping_set,
+    make_code,
     min_distance,
     null_space_basis,
     rank_gf2,
@@ -603,3 +605,10 @@ else:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "refused"
+
+
+@pytest.mark.parametrize("q,budget,value,status", [(4, 16, 16, "exact"), (5, 12, 13, "lower_bound_only")])
+def test_stopping_distance_of_the_symmetric_family(q, budget, value, status):
+    # the counting bound on lonely rows makes these budgets a second each
+    res = stopping_distance(make_code(FAMILY_SYMMETRIC, 2, q).h, budget=budget)
+    assert (res.value, res.status) == (value, status)
