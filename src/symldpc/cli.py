@@ -27,7 +27,9 @@ subcommand's own flags plus `subcommand` and `dry_run`) as JSON.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -309,7 +311,19 @@ def _parse_gallager(text: str, seed: int) -> codes.CodeSpec:
     return codes.gallager_random(length, col_wt, row_wt, seed)
 
 
+def _check_out_dir(out: str) -> None:
+    """Fail before any work when out's directory is missing or not writable."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(parent))
+    if not os.access(parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(parent))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # the CSV is written only once the sweeps succeed, so its directory is
+    # checked first, not after the whole simulation
+    _check_out_dir(args.out)
     if args.trials is None:
         raise BadParametersError("simulate requires --trials")
     code_list = [_load_code(args)]

@@ -29,10 +29,19 @@ Irregular graphs and unchecked columns thus need no separate code path.
 Convention: BPSK maps bit 0 to +1 and bit 1 to -1, and the channel LLR of
 a received amplitude y is 2y/sigma^2 (positive means bit 0 more likely).
 
+The peeler works on Python-int bitmasks: bit j of a mask is column j.  A
+word is two masks, its erased bits and its known ones, and each check is
+its row mask, cached once per matrix as SparseBitMatrix._row_masks on the
+peeler's first call.  Erased counts and parities are popcounts of ANDs,
+and resolving a degree-1 check touches only the checks on that one
+column.  The peeling order does not change the outcome (the argument is
+in peel_decode_bec's docstring), so the queue order is free.
+
 Both decoders report `syndrome_ok` from the parity they already track: BP
 stops a word only when its hard decisions satisfy every check, and the
-peeler keeps each check's parity over its known bits, with erased bits
-returned as 0.
+peeler reads each check's parity over its known ones, with erased bits
+returned as 0; a word that converged made every check fully known and
+even, so only a stall with a known 1 needs that pass over the rows.
 """
 
 from __future__ import annotations
@@ -289,54 +298,70 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
     `received` holds 0, 1, or ERASED (-1) per position.  Converges when no
     erasures remain; stalls when the remaining erasures form a stopping
     set.  A fully known check with odd parity raises InconsistentError.
+
+    The word is two int bitmasks over the columns, `erased` and `ones`, and
+    each check is its row mask from h._row_masks: a check's erased count is
+    (erased & r).bit_count() and the parity of its known bits is
+    (ones & r).bit_count() & 1.
+
+    The queue order is free: neither the word returned nor whether
+    InconsistentError is raised depends on it.  Every order resolves the
+    same bits, all but the largest stopping set inside the erasures.
+    Suppose one order A finishes without a contradiction.  Then every check
+    that any order can make fully known is fully known under A, and even
+    under A's values.  By induction over the steps of any other order B,
+    each bit B resolves comes from a check whose other bits already hold
+    A's values, so B assigns it A's value and no check B completes is odd.
     """
     h = code.h
-    received = np.asarray(received).tolist()
-    if len(received) != code.length:
+    received = np.asarray(received)
+    if received.ndim == 0 or len(received) != code.length:
         raise LengthMismatchError(
-            f"received word must have length {code.length}, got {len(received)}"
+            f"received word must have length {code.length}, got shape {received.shape}"
         )
-    # compared by value, so 1.0 passes while 0.9 or -1.5 is refused, not truncated
-    if any(b not in (0, 1, ERASED) for b in received):
+    erased_at, one_at = received == ERASED, received == 1
+    # compared by value, so 1.0 passes while 0.9, -1.5, NaN or "0" is refused,
+    # not truncated; a (length, 1) column holds rows, not symbols
+    if received.ndim != 1 or not (erased_at | one_at | (received == 0)).all():
         raise BadParametersError("received symbols must be 0, 1 or ERASED")
 
-    word = [0 if b == ERASED else int(b) for b in received]
-    erased = [b == ERASED for b in received]
-    erased_count = []
-    parity = []
-    for row in h.row_support:
-        e = sum(1 for j in row if erased[j])
-        p = sum(word[j] for j in row if not erased[j]) % 2
-        erased_count.append(e)
-        parity.append(p)
-        if e == 0 and p != 0:
-            raise InconsistentError("a fully known parity check fails")
+    masks, cols = h._row_masks, h.col_support
+    erased = unresolved = _bitmask(erased_at)
+    ones = _bitmask(one_at)
+    count = [(erased & r).bit_count() for r in masks]
+    if ones and any(not e and (ones & r).bit_count() & 1 for e, r in zip(count, masks)):
+        raise InconsistentError("a fully known parity check fails")
 
-    queue = [i for i, e in enumerate(erased_count) if e == 1]
-    steps = 0
+    queue = [i for i, e in enumerate(count) if e == 1]
     while queue:
         i = queue.pop()
-        if erased_count[i] != 1:
+        if count[i] != 1:
             continue
-        j = next(jj for jj in h.row_support[i] if erased[jj])
-        value = parity[i]
-        word[j] = value
-        erased[j] = False
-        steps += 1
-        for ii in h.col_support[j]:
-            erased_count[ii] -= 1
-            if value:
-                parity[ii] ^= 1
-            if erased_count[ii] == 1:
+        bit = erased & masks[i]
+        erased ^= bit
+        if ones and (ones & masks[i]).bit_count() & 1:
+            ones |= bit
+        for ii in cols[bit.bit_length() - 1]:
+            count[ii] -= 1
+            if count[ii] == 1:
                 queue.append(ii)
-            elif erased_count[ii] == 0 and parity[ii] != 0:
+            elif not count[ii] and ones and (ones & masks[ii]).bit_count() & 1:
                 raise InconsistentError("a fully known parity check fails")
 
-    # parity[i] is the parity of row i's known bits, and erased bits are output
-    # as 0, so it is also row i's syndrome bit on the returned word
-    return DecodeOutcome(
-        status=STATUS_STALLED if any(erased) else STATUS_CONVERGED,
-        word=np.array(word, dtype=np.uint8),
-        iterations=steps,
-        syndrome_ok=not any(parity),
+    # erased bits are output as 0, so a check's syndrome bit is the parity of
+    # its ones; a converged word made every check fully known and even
+    syndrome_ok = not (erased and ones) or not any(
+        (ones & r).bit_count() & 1 for r in masks
     )
+    word = np.frombuffer(ones.to_bytes((code.length + 7) // 8, "little"), dtype=np.uint8)
+    return DecodeOutcome(
+        status=STATUS_STALLED if erased else STATUS_CONVERGED,
+        word=np.unpackbits(word, count=code.length, bitorder="little"),
+        iterations=unresolved.bit_count() - erased.bit_count(),
+        syndrome_ok=syndrome_ok,
+    )
+
+
+def _bitmask(flags: np.ndarray) -> int:
+    """The int with bit j set where flags[j] is true."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")

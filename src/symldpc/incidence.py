@@ -87,6 +87,15 @@ class SparseBitMatrix:
         """
         return _all_roots_bfs(self)
 
+    @cached_property
+    def _row_masks(self) -> tuple[int, ...]:
+        """Each row's support as an int with bit j set for column j.
+
+        Built on first use and cached on the instance like _tanner_bfs, so
+        equality and hashing ignore it.
+        """
+        return tuple(sum(1 << j for j in row) for row in self.row_support)
+
 
 @dataclass(frozen=True)
 class StructureReport:

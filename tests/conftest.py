@@ -31,3 +31,8 @@ def c24():
 @pytest.fixture(scope="session")
 def ct24():
     return s.make_code(s.FAMILY_TRANSPOSE, 2, 4)
+
+
+@pytest.fixture(scope="session")
+def c32():
+    return s.make_code(s.FAMILY_SYMMETRIC, 3, 2)

@@ -461,6 +461,24 @@ def test_missing_files_end_in_an_error_line(tmp_path, capsys, argv):
     assert captured.err.startswith("error:") and "No such file or directory" in captured.err
 
 
+@pytest.mark.parametrize("sweep", [["--ebno", "1"], ["--channel", "bec", "--probs", "0.1"]])
+def test_simulate_refuses_a_missing_out_directory_before_sweeping(
+    tmp_path, capsys, monkeypatch, sweep
+):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran before --out was checked")
+
+    monkeypatch.setattr(sim, "run_awgn_sweep", no_sweep)
+    monkeypatch.setattr(sim, "run_bec_sweep", no_sweep)
+    rc = main(
+        ["simulate", "--family", "symmetric", "--n", "2", "--q", "2", "--trials", "5",
+         "--out", str(tmp_path / "no" / "r.csv")] + sweep
+    )
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "No such file or directory" in captured.err
+
+
 @pytest.mark.parametrize("ebno", ["abc", "0:x:1", "1,two"])
 def test_simulate_rejects_a_sweep_that_is_not_numbers(tmp_path, capsys, ebno):
     out = tmp_path / "x.csv"

@@ -463,6 +463,125 @@ def test_peel_stalls_with_both_syndrome_outcomes(c22, ct22, c23):
     assert stalled == {True, False}
 
 
+def reference_peel(code, received):
+    """The list-based peeler that the bitmask one replaced, kept as its oracle."""
+    h = code.h
+    received = np.asarray(received).tolist()
+    if len(received) != code.length:
+        raise LengthMismatchError(
+            f"received word must have length {code.length}, got {len(received)}"
+        )
+    # compared by value, so 1.0 passes while 0.9 or -1.5 is refused, not truncated
+    if any(b not in (0, 1, ERASED) for b in received):
+        raise BadParametersError("received symbols must be 0, 1 or ERASED")
+
+    word = [0 if b == ERASED else int(b) for b in received]
+    erased = [b == ERASED for b in received]
+    erased_count = []
+    parity = []
+    for row in h.row_support:
+        e = sum(1 for j in row if erased[j])
+        p = sum(word[j] for j in row if not erased[j]) % 2
+        erased_count.append(e)
+        parity.append(p)
+        if e == 0 and p != 0:
+            raise InconsistentError("a fully known parity check fails")
+
+    queue = [i for i, e in enumerate(erased_count) if e == 1]
+    steps = 0
+    while queue:
+        i = queue.pop()
+        if erased_count[i] != 1:
+            continue
+        j = next(jj for jj in h.row_support[i] if erased[jj])
+        value = parity[i]
+        word[j] = value
+        erased[j] = False
+        steps += 1
+        for ii in h.col_support[j]:
+            erased_count[ii] -= 1
+            if value:
+                parity[ii] ^= 1
+            if erased_count[ii] == 1:
+                queue.append(ii)
+            elif erased_count[ii] == 0 and parity[ii] != 0:
+                raise InconsistentError("a fully known parity check fails")
+
+    # parity[i] is the parity of row i's known bits, and erased bits are output
+    # as 0, so it is also row i's syndrome bit on the returned word
+    return decode.DecodeOutcome(
+        status=decode.STATUS_STALLED if any(erased) else decode.STATUS_CONVERGED,
+        word=np.array(word, dtype=np.uint8),
+        iterations=steps,
+        syndrome_ok=not any(parity),
+    )
+
+
+def _peel_both(code, received):
+    """Both peelers' (status, word, dtype, iterations, syndrome_ok), or the
+    InconsistentError class where they raise it."""
+    outcomes = []
+    for peel in (peel_decode_bec, reference_peel):
+        try:
+            out = peel(code, received)
+        except InconsistentError as exc:
+            outcomes.append(type(exc))
+        else:
+            outcomes.append(
+                (out.status, out.word.tolist(), out.word.dtype, out.iterations, out.syndrome_ok)
+            )
+    return outcomes
+
+
+def _oracle_case(code, basis, rng, rate, flip):
+    """A random codeword with each bit erased at `rate`, and with `flip`, one
+    known bit inverted so that a check can fail up front or mid-peel."""
+    received = _erased_codeword(basis, rng.random(len(basis)) < 0.5, rng.random(code.length) < rate)
+    known = np.flatnonzero(received != ERASED)
+    if flip and known.size:
+        received[rng.choice(known)] ^= 1
+    return received
+
+
+ORACLE_CODES = ["c22", "ct22", "c23", "ct24", "c32"]
+
+
+@given(
+    code_name=st.sampled_from(ORACLE_CODES),
+    seed=st.integers(0, 2**32 - 1),
+    rate=st.floats(0.0, 1.0),
+    flip=st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_peel_matches_reference_peel(request, code_name, seed, rate, flip):
+    code = request.getfixturevalue(code_name)
+    rng = np.random.default_rng(seed)
+    received = _oracle_case(code, null_space_basis(code.h), rng, rate, flip)
+    new, old = _peel_both(code, received)
+    assert new == old
+
+
+def test_peel_oracle_cases_reach_both_contradictions(request):
+    # a contradiction found before any bit is resolved, and one found after
+    kinds = set()
+    rng = np.random.default_rng(11)
+    for code_name in ORACLE_CODES:
+        code = request.getfixturevalue(code_name)
+        basis = null_space_basis(code.h)
+        for _ in range(150):
+            received = _oracle_case(code, basis, rng, rng.random(), True)
+            new, old = _peel_both(code, received)
+            assert new == old
+            if new is InconsistentError:
+                word = np.where(received == ERASED, 0, received)
+                known_odd = [
+                    all(received[j] != ERASED for j in row) and sum(word[j] for j in row) % 2
+                    for row in code.h.row_support
+                ]
+                kinds.add("up front" if any(known_odd) else "mid-peel")
+    assert kinds == {"up front", "mid-peel"}
+
+
 def test_peel_inconsistent_word_raises(ct22):
     received = np.zeros(12, dtype=int)
     received[0] = 1  # weight-1 word cannot satisfy the checks
@@ -486,6 +605,31 @@ def test_peel_input_validation(ct22):
         peel_decode_bec(ct22, [0] * 11)
     with pytest.raises(BadParametersError):
         peel_decode_bec(ct22, [0] * 11 + [7])
+
+
+@pytest.mark.parametrize(
+    "make, refusal",
+    [
+        (lambda cw: 0, LengthMismatchError),
+        (lambda cw: cw[:, None], BadParametersError),
+        (lambda cw: cw[None, :], LengthMismatchError),
+        (lambda cw: cw.astype(str), BadParametersError),
+        (lambda cw: [None] * len(cw), BadParametersError),
+        (lambda cw: np.r_[cw[:-1], np.nan], BadParametersError),
+        (lambda cw: cw.astype(bool), None),
+        (lambda cw: np.array([ERASED, *cw[1:].tolist()], dtype=object), None),
+    ],
+    ids=["scalar", "column", "row", "strings", "none", "nan", "bools", "object-ints"],
+)
+def test_peel_refusals_keep_their_class(ct22, make, refusal):
+    # built from a codeword, so an accepted input decodes without contradiction
+    received = make(_codewords(ct22)[0])
+    if refusal is None:
+        new, old = _peel_both(ct22, received)
+        assert new == old and new[0] == "converged"
+    else:
+        with pytest.raises(refusal):
+            peel_decode_bec(ct22, received)
 
 
 def test_peel_refuses_non_integral_symbols(ct22):

@@ -160,6 +160,21 @@ def test_golden_counts(code_name, request):
         assert r.ber == r.bit_errors / (2000 * code.length)
 
 
+def test_bec_counts_independent_of_threads_and_batch_on_a_fresh_matrix():
+    # the peeler caches its row masks on h at first use; threads=2 runs first,
+    # so both cells may build that cache at once
+    from symldpc import FAMILY_SYMMETRIC, make_code
+
+    code = make_code(FAMILY_SYMMETRIC, 2, 4)
+    assert "_row_masks" not in vars(code.h)
+    two = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=2)
+    one = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=1)
+    rebatched = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=1, batch_size=123)
+    assert two == one == rebatched
+    assert (one[0].word_errors, one[0].bit_errors) == GOLDEN_COUNTS[("C(2,4)", "bec", 0.3)]
+    assert one[1].word_errors > 0
+
+
 def test_odd_length_counts(c23):
     # 27 bits take 28 Philox words per trial, which Box-Muller uses as 14 pairs
     results = run_awgn_sweep(c23, [1.0, 3.0], 1000, seed=2026, threads=1, batch_size=300)
