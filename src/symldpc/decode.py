@@ -8,17 +8,25 @@ thousands of noise realizations per numpy call; each word's evolution is
 independent of the rest of the batch, so results never depend on how
 trials are grouped.
 
-A call decodes at most LANES words at once.  When a word converges or
-reaches max_iters, its result is written out and the next pending word of
-the batch takes over its lane (channel LLRs loaded, c2v messages and the
-lane's iteration count reset); the pool shrinks only once no word is left
-to load.  The message and scratch buffers are allocated once per call,
-LANES words wide, and filled in place, so the decoder's memory scales with
-LANES rather than with the batch.  The check update divides each slot's
-tanh out of its check's product whenever no tanh is exactly 0, which is
-nearly always; otherwise it takes the zero-count branch.  Each word still
-sees the same operations in the same order, so bits, convergence and
-iteration counts do not depend on the lane count either.
+A call decodes at most LANES words at once, and lanes [0, live) of its
+pool always hold the words still decoding.  After each iteration the
+words that converged or reached max_iters are written out, and the live
+lanes at or past `live` move down into the finished lanes below it, so a
+move touches at most as many lanes as just finished.  The free lanes at
+the top then take the next pending words of the batch as one block (the
+words' LLRs clipped straight into the lanes, their posteriors set to
+them and their c2v messages zeroed).  Once fewer words are pending than
+lanes are free, the live prefix is re-laid as a narrower (rows, live)
+block at the front of the same buffers.  The message and scratch buffers
+are allocated once per call, LANES words wide, and filled in place, so
+the decoder's memory scales with LANES rather than with the batch.  The
+check update divides each slot's tanh out of its check's product whenever
+no tanh is exactly 0, which is nearly always; otherwise it takes the
+zero-count branch, and both give each lane the same values.  Lanes never
+interact: every operation is elementwise per lane or reduces over one
+check's slots of one lane.  So a word's lane, and when it moves, never
+affects its result: bits, convergence and iteration counts do not depend
+on the lane count or on how trials are batched.
 
 Messages live in two padded layouts: the check side is (nonzero rows x max
 row weight) and the variable side is (columns x max column weight).  Slots
@@ -133,8 +141,12 @@ class SumProductDecoder:
         converged is a bool mask, iterations holds the iteration at which
         each word first satisfied all checks (max_iters when it never did).
         Each word is frozen at its own first success, so outputs are
-        independent of batching.
+        independent of batching.  Any real dtype and memory layout is
+        accepted, and the caller's array is never written.
         """
+        llrs = np.asarray(llrs)
+        if llrs.dtype.kind not in "biuf":
+            raise BadParametersError(f"llr array must hold real numbers, got dtype {llrs.dtype}")
         if llrs.ndim != 2 or llrs.shape[1] != self.ncols:
             raise LengthMismatchError(
                 f"llr array must be (batch, {self.ncols}), got {llrs.shape}"
@@ -178,31 +190,30 @@ class SumProductDecoder:
         llr_t, post, c2v_var = state
         lane_word = np.empty(width, dtype=np.int64)
         lane_iter = np.empty(width, dtype=np.int32)
-        free = np.arange(width)
-        loaded = 0
+        live = loaded = 0
 
         while True:
-            # the free lanes take the next pending words in word order; once
-            # none are left, the lanes still free leave the pool
-            fresh, idle = free[: batch - loaded], free[batch - loaded :]
-            if fresh.size:
-                words = np.arange(loaded, loaded + fresh.size)
-                loaded += fresh.size
-                lane_word[fresh] = words
-                lane_iter[fresh] = 0
-                llr_t[:, fresh] = np.clip(llrs[words], -LLR_CLIP, LLR_CLIP).T
-                post[:, fresh] = llr_t[:, fresh]
-                c2v_var[:, fresh] = 0.0
-            if idle.size:
-                keep = np.setdiff1d(np.arange(width), idle, assume_unique=True)
-                width = keep.size
-                lane_word, lane_iter = lane_word[keep], lane_iter[keep]
-                llr_t, post, c2v_var = (
-                    _compact(buf, arr, keep)
-                    for buf, arr in zip(state, (llr_t, post, c2v_var))
-                )
-            if not width:
+            # the free lanes [live, width) take the next pending words as a block
+            fresh = min(width - live, batch - loaded)
+            if fresh:
+                lanes = slice(live, live + fresh)
+                np.clip(llrs[loaded : loaded + fresh].T, -LLR_CLIP, LLR_CLIP, out=llr_t[:, lanes])
+                post[:, lanes] = llr_t[:, lanes]
+                c2v_var[:, lanes] = 0.0
+                lane_word[lanes] = np.arange(loaded, loaded + fresh)
+                lane_iter[lanes] = 0
+                live += fresh
+                loaded += fresh
+            if not live:
                 return bits_out, converged, iters_out
+            if live < width:
+                # nothing is left to load: narrow the pool to its live prefix
+                narrowed = [_lane_view(buf, live) for buf in state]
+                for new, old in zip(narrowed, (llr_t, post, c2v_var)):
+                    new[...] = old[:, :live]  # numpy buffers the overlapping copy
+                llr_t, post, c2v_var = narrowed
+                lane_word, lane_iter = lane_word[:live], lane_iter[:live]
+                width = live
             c2v_by_var = c2v_var.reshape(n, col_wt, width)
             v2c, t, zero, prod, c2v, bits, par, parity = (
                 _lane_view(buf, width) for buf in scratch
@@ -253,11 +264,20 @@ class SumProductDecoder:
             ok = ~parity.any(axis=0)
 
             lane_iter += 1
-            free = np.flatnonzero(ok | (lane_iter >= max_iters))
+            done = ok | (lane_iter >= max_iters)
+            free = np.flatnonzero(done)
             words = lane_word[free]
             bits_out[words] = bits[:-1, free].T
             converged[words] = ok[free]
             iters_out[words] = lane_iter[free]
+            # pack: the live lanes at or past `live` fill the finished ones below it
+            live = width - free.size
+            holes = free[: np.searchsorted(free, live)]
+            movers = live + np.flatnonzero(~done[live:])
+            for arr in (llr_t, post, c2v_var):
+                arr[:, holes] = arr[:, movers]
+            lane_word[holes] = lane_word[movers]
+            lane_iter[holes] = lane_iter[movers]
 
 
 def _lane_view(buf: np.ndarray, width: int) -> np.ndarray:
@@ -266,19 +286,11 @@ def _lane_view(buf: np.ndarray, width: int) -> np.ndarray:
     return buf.reshape(-1)[: rows * width].reshape(rows, width)
 
 
-def _compact(buf: np.ndarray, arr: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Copy arr's `keep` lanes to the front of buf, which arr may overlap."""
-    kept = arr[:, keep]
-    out = _lane_view(buf, keep.size)
-    out[...] = kept
-    return out
-
-
 def bp_decode_awgn(
     code: CodeSpec, llr, max_iters: int = DEFAULT_MAX_ITERS
 ) -> DecodeOutcome:
     """Sum-product decode of one word of channel LLRs."""
-    llr = np.asarray(llr, dtype=np.float64)
+    llr = np.asarray(llr)
     if llr.ndim != 1 or llr.shape[0] != code.length:
         raise LengthMismatchError(
             f"llr must have length {code.length}, got shape {llr.shape}"

@@ -22,6 +22,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -97,31 +98,50 @@ def _words_per_trial(count: int) -> int:
 
 
 def _uniforms(seed: int, cell: int, start_word: int, nwords: int) -> np.ndarray:
-    """Open-interval (0,1) doubles from the (seed, cell) Philox stream."""
+    """Open-interval (0,1) doubles from the (seed, cell) Philox stream.
+
+    Computed in the raw words' own memory: (raw >> 11) + 0.5, times 2^-53.
+    """
     if start_word % 4:
         raise BadParametersError(f"start word {start_word} is not on a Philox block boundary")
     key = ((seed & _MASK64) << 64) | (cell & _MASK64)
     bg = np.random.Philox(key=key)
     bg.advance(start_word // 4)
     raw = bg.random_raw(nwords)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    raw >>= np.uint64(11)
+    u = raw.view(np.float64)
+    np.add(raw, 0.5, out=u)  # casts each word to float64, then adds; numpy buffers the cast
+    u *= 2.0**-53
+    return u
 
 
 def _standard_normals(u: np.ndarray, n: int) -> np.ndarray:
-    """Box-Muller transform of a (batch, even) uniform block; first n columns."""
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    theta = (2.0 * np.pi) * u[:, 1::2]
-    z = np.empty_like(u)
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
-    return z[:, :n]
+    """Box-Muller transform of a (batch, even) uniform block; first n columns.
+
+    The pairs are written back into u: column 2i gets r cos(theta) and column
+    2i + 1 gets r sin(theta), where r = sqrt(-2 log u[:, 2i]) and theta =
+    2 pi u[:, 2i + 1].
+    """
+    r, theta = u[:, 0::2], u[:, 1::2]
+    np.log(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, theta, out=theta)
+    sin = np.sin(theta)
+    np.multiply(r, sin, out=sin)
+    np.cos(theta, out=theta)
+    np.multiply(r, theta, out=r)
+    theta[...] = sin
+    return u[:, :n]
 
 
-def _check_common(trials: int, seed: int) -> None:
-    if trials < 1:
-        raise BadParametersError(f"trials must be >= 1, got {trials}")
-    if not isinstance(seed, int):
-        raise BadParametersError("seed must be an integer")
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int, refused unless it is an integer (bool is not) >= least."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise BadParametersError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise BadParametersError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
@@ -132,9 +152,9 @@ def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
     uniforms) maps a (batch, words) block to per-trial bit error counts,
     and a trial with any bit error is a word error.
     """
-    _check_common(trials, seed)
-    if batch_size < 1:
-        raise BadParametersError(f"batch_size must be >= 1, got {batch_size}")
+    trials = _integer("trials", trials, 1)
+    seed = _integer("seed", seed)
+    batch_size = _integer("batch_size", batch_size, 1)
     wpt = _words_per_trial(code.length)
 
     def run_cell(cell: int) -> SimResult:
@@ -181,13 +201,18 @@ def run_awgn_sweep(
     for ebno in ebno_list:
         if not np.isfinite(ebno):
             raise BadParametersError(f"Eb/N0 must be finite, got {ebno}")
+    max_iters = _integer("max_iters", max_iters, 1)
     decoder = SumProductDecoder(code.h)
     n = code.length
 
     def errors(ebno: float, u: np.ndarray) -> np.ndarray:
         sigma = AwgnChannel(ebno_db=ebno, rate=code.rate).sigma
-        y = 1.0 + sigma * _standard_normals(u, n)
-        bits, _, _ = decoder.decode_batch((2.0 / (sigma * sigma)) * y, max_iters)
+        # the LLR (2 / sigma^2) (1 + sigma z), computed in the noise's memory
+        llrs = _standard_normals(u, n)
+        llrs *= sigma
+        llrs += 1.0
+        llrs *= 2.0 / (sigma * sigma)
+        bits, _, _ = decoder.decode_batch(llrs, max_iters)
         return bits.sum(axis=1)
 
     return _sweep(code, "awgn", ebno_list, trials, seed, errors, threads, batch_size)

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,90 @@ def test_decode_batch_keeps_no_state_on_the_decoder(c24):
     assert after.keys() == before.keys()
     for k, v in before.items():
         assert type(after[k]) is type(v) and np.array_equal(after[k], v)
+
+
+def _alternating_batch(code, words, max_iters, rng):
+    """Near-noiseless words, which converge at iteration 1, alternating with
+    noisy ones that the oracle runs to max_iters without converging."""
+    noisy = 1.5 * rng.standard_normal((4 * words, code.length))
+    _, converged, _ = ReferenceDecoder(code.h).decode_batch(noisy, max_iters)
+    llrs = np.full((words, code.length), 2.0 * LLR_CLIP)
+    llrs[1::2] = noisy[~converged][: words // 2]
+    return llrs
+
+
+# Half of the words finish at iteration 1 and the rest only at max_iters, so
+# a pool narrower than the batch refills and moves lanes on every iteration,
+# and a pool as wide as the batch packs its scattered live lanes down before
+# it narrows.
+@pytest.mark.parametrize("lanes", [2, 5, 1024])
+def test_lane_packing_matches_reference(c24, lanes, monkeypatch):
+    monkeypatch.setattr(decode, "LANES", lanes)
+    max_iters = 6
+    llrs = _alternating_batch(c24, 301, max_iters, np.random.default_rng(2026))
+    _assert_same_decodes(c24.h, llrs, max_iters)
+    _, converged, iters = SumProductDecoder(c24.h).decode_batch(llrs, max_iters)
+    assert converged[0::2].all() and (iters[0::2] == 1).all()
+    assert not converged[1::2].any() and (iters[1::2] == max_iters).all()
+
+
+def test_one_sweep_batch_stays_under_five_batch_sized_blocks(c24):
+    # a batch of 8192 words of 64 bits is one 4 MiB float64 block; noise drawn
+    # in place and a decoder pool of LANES words keep the peak under five
+    import tracemalloc
+
+    run_awgn_sweep(c24, [7.0], 16, seed=1, threads=1)  # code dimension, imports
+    tracemalloc.start()
+    try:
+        run_awgn_sweep(c24, [7.0], 8192, seed=2026, threads=1, batch_size=8192)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8192 * c24.length * 8
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda a: np.rint(8.0 * a).astype(np.int64),
+        lambda a: a.astype(np.float32),
+        np.asfortranarray,
+        lambda a: np.repeat(a, 2, axis=0)[::2],
+        lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        lambda a: a.tolist(),
+        lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+    ],
+    ids=["int", "float32", "fortran", "row-strided", "column-strided", "list", "read-only"],
+)
+def test_decode_batch_reads_any_real_layout_like_its_float64_copy(ct22, layout):
+    llrs = 2.0 + 1.5 * np.random.default_rng(9).standard_normal((40, ct22.length))
+    given = layout(llrs)
+    before = np.array(given, copy=True)
+    dec = SumProductDecoder(ct22.h)
+    got = dec.decode_batch(given, max_iters=5)
+    want = dec.decode_batch(np.ascontiguousarray(given, dtype=np.float64), max_iters=5)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.array_equal(np.asarray(given), before)
+
+
+@pytest.mark.parametrize(
+    "make, dtype",
+    [
+        (lambda a: a + 0.5j, "complex128"),
+        (lambda a: a.astype(object), "object"),
+        (lambda a: a.astype(str), "<U"),
+        (lambda a: a.astype(bytes), "|S"),
+    ],
+    ids=["complex", "object", "str", "bytes"],
+)
+def test_decode_batch_refuses_llrs_that_are_not_real_numbers(ct22, make, dtype):
+    llrs = make(np.full((2, ct22.length), 3.0))
+    refusal = re.escape(f"llr array must hold real numbers, got dtype {dtype}")
+    with pytest.raises(BadParametersError, match=refusal):
+        SumProductDecoder(ct22.h).decode_batch(llrs)
+    with pytest.raises(BadParametersError, match=refusal):
+        bp_decode_awgn(ct22, llrs[0])
 
 
 def _near_tie_llrs(h, llrs, rng):

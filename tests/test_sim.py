@@ -3,9 +3,17 @@ import io
 import numpy as np
 import pytest
 
-from symldpc import results_to_csv, run_awgn_sweep, run_bec_sweep
+from symldpc import (
+    AwgnChannel,
+    CodeSpec,
+    SumProductDecoder,
+    results_to_csv,
+    run_awgn_sweep,
+    run_bec_sweep,
+)
 from symldpc.exceptions import BadParametersError
-from symldpc.sim import _uniforms, _words_per_trial
+from symldpc.incidence import SparseBitMatrix
+from symldpc.sim import _MASK64, _uniforms, _words_per_trial
 
 
 def test_uniform_stream_is_counter_addressable():
@@ -16,6 +24,66 @@ def test_uniform_stream_is_counter_addressable():
     other_cell = _uniforms(seed=7, cell=4, start_word=0, nwords=64)
     assert not np.array_equal(whole, other_cell)
     assert np.all((whole > 0.0) & (whole < 1.0))
+
+
+def reference_uniforms(seed, cell, start_word, nwords):
+    key = ((seed & _MASK64) << 64) | (cell & _MASK64)
+    bg = np.random.Philox(key=key)
+    bg.advance(start_word // 4)
+    raw = bg.random_raw(nwords)
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def reference_standard_normals(u, n):
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    theta = (2.0 * np.pi) * u[:, 1::2]
+    z = np.empty_like(u)
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = r * np.sin(theta)
+    return z[:, :n]
+
+
+def reference_llrs(seed, cell, start_word, batch, n, sigma):
+    """The noise as the batch-sized-temporaries code drew it, kept as the
+    oracle of the in-place path: LLR (2 / sigma^2) (1 + sigma z)."""
+    wpt = _words_per_trial(n)
+    u = reference_uniforms(seed, cell, start_word, batch * wpt).reshape(batch, wpt)
+    y = 1.0 + sigma * reference_standard_normals(u, n)
+    return (2.0 / (sigma * sigma)) * y
+
+
+def _chain_code(n):
+    # checks x_j + x_j+1: any length, dimension 1, so the sweep's Eb/N0 scaling applies
+    rows = [(j, j + 1) for j in range(n - 1)]
+    return CodeSpec("chain", SparseBitMatrix.from_rows(n - 1, n, rows), f"chain({n})")
+
+
+@pytest.mark.parametrize("batch", [1, 300])
+@pytest.mark.parametrize("n", [11, 12, 27, 64, 80])
+def test_in_place_noise_matches_reference_llrs(n, batch, monkeypatch):
+    code = _chain_code(n)
+    seen = []
+    decode_batch = SumProductDecoder.decode_batch
+
+    def record(self, llrs, max_iters):
+        seen.append(np.array(llrs, copy=True))
+        return decode_batch(self, llrs, max_iters)
+
+    monkeypatch.setattr(SumProductDecoder, "decode_batch", record)
+    ebnos, seed = [-1.0, 2.5, 7.0], 2026
+    # three batches per cell: the second and third start past word 0
+    run_awgn_sweep(code, ebnos, 3 * batch, seed, max_iters=1, threads=1, batch_size=batch)
+    wpt = _words_per_trial(n)
+    for cell, ebno in enumerate(ebnos):
+        sigma = AwgnChannel(ebno_db=ebno, rate=code.rate).sigma
+        for k in range(3):
+            start = k * batch * wpt
+            assert np.array_equal(
+                _uniforms(seed, cell, start, batch * wpt),
+                reference_uniforms(seed, cell, start, batch * wpt),
+            )
+            want = reference_llrs(seed, cell, start, batch, n, sigma)
+            assert np.array_equal(seen[3 * cell + k], want)
 
 
 def test_words_per_trial_block_aligned():
@@ -78,6 +146,42 @@ def test_batch_size_below_one_is_rejected(ct22, sweep, batch_size):
     # a batch of 0 trials would never finish the cell
     with pytest.raises(BadParametersError, match="batch_size"):
         sweep(ct22, [0.1], 10, 1, batch_size=batch_size)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("trials", 2.5),
+        ("trials", True),
+        ("trials", "10"),
+        ("seed", 1.0),
+        ("seed", False),
+        ("batch_size", 2.5),
+        ("batch_size", np.float64(4.0)),
+    ],
+)
+@pytest.mark.parametrize("sweep", [run_awgn_sweep, run_bec_sweep])
+def test_sweep_integers_must_be_integers(ct22, sweep, name, value):
+    kwargs = {"trials": 10, "seed": 1, "batch_size": 4, name: value}
+    with pytest.raises(BadParametersError, match=f"{name} must be an integer"):
+        sweep(ct22, [0.1], **kwargs)
+
+
+@pytest.mark.parametrize("max_iters", [1.5, True, 0])
+def test_awgn_max_iters_must_be_a_positive_integer(ct22, max_iters):
+    with pytest.raises(BadParametersError, match="max_iters must be"):
+        run_awgn_sweep(ct22, [1.0], 10, 1, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("sweep", [run_awgn_sweep, run_bec_sweep])
+def test_numpy_integers_are_stored_as_plain_ints(ct22, sweep):
+    kwargs = {"trials": np.int64(50), "seed": np.uint32(7), "batch_size": np.int32(16)}
+    if sweep is run_awgn_sweep:
+        kwargs["max_iters"] = np.int16(20)
+    [got] = sweep(ct22, [0.3], **kwargs)
+    [want] = sweep(ct22, [0.3], trials=50, seed=7, batch_size=16)
+    assert got == want
+    assert type(got.trials) is int and type(got.seed) is int
 
 
 def test_wer_bounds_and_fields(ct22):
