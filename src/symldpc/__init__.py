@@ -31,7 +31,7 @@ from .decode import (
     bp_decode_awgn,
     peel_decode_bec,
 )
-from .gf import FieldTable, factor_prime_power, field_of_size, field_table
+from .gf import FieldTable, factor_prime_power, field_of_size
 from .gf2 import (
     DistanceResult,
     code_dimension,
@@ -85,7 +85,6 @@ __all__ = [
     "diameter",
     "factor_prime_power",
     "field_of_size",
-    "field_table",
     "gallager_random",
     "girth",
     "independent_row_family",

@@ -20,12 +20,16 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
-from numbers import Integral
 
 import numpy as np
 
 from . import gf2
-from .exceptions import BadCharacteristicError, BadParametersError, StructureViolationError
+from .exceptions import (
+    BadCharacteristicError,
+    BadParametersError,
+    StructureViolationError,
+    check_integer,
+)
 from .gf import field_of_size
 from .incidence import SparseBitMatrix, build_h
 from .incidence import girth as graph_girth
@@ -55,11 +59,9 @@ class CodeSpec:
     def __post_init__(self):
         if not isinstance(self.family, str):
             raise BadParametersError(f"family must be a string, got {self.family!r}")
-        for name, least in (("n", 1), ("q", 2)):
-            value = getattr(self, name)
-            integer = isinstance(value, Integral) and not isinstance(value, bool)
-            if value is not None and not (integer and value >= least):
-                raise BadParametersError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, value, least in (("n", self.n, 1), ("q", self.q, 2)):
+            if value is not None:
+                check_integer(name, value, least)
 
     @property
     def length(self) -> int:
@@ -274,8 +276,10 @@ def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpe
     permutation to it.  Bands occupy disjoint row ranges, so row and column
     weights are exact by construction.  Deterministic for a fixed seed.
     """
-    if length < 1 or col_wt < 1 or row_wt < 1:
-        raise BadParametersError("length, col_wt, row_wt must all be >= 1")
+    length = check_integer("length", length, 1)
+    col_wt = check_integer("col_wt", col_wt, 1)
+    row_wt = check_integer("row_wt", row_wt, 1)
+    seed = check_integer("seed", seed, 0)
     if length % row_wt != 0:
         raise BadParametersError(
             f"row weight {row_wt} must divide the length {length}"

@@ -63,6 +63,7 @@ from .exceptions import (
     BadParametersError,
     InconsistentError,
     LengthMismatchError,
+    check_integer,
 )
 
 LLR_CLIP = 30.0
@@ -151,8 +152,7 @@ class SumProductDecoder:
             raise LengthMismatchError(
                 f"llr array must be (batch, {self.ncols}), got {llrs.shape}"
             )
-        if max_iters < 1:
-            raise BadParametersError("max_iters must be >= 1")
+        max_iters = check_integer("max_iters", max_iters, 1)
         # NaN LLRs decide bit 0, so an all-NaN word would "converge" to the
         # zero codeword; +-inf is legal, since the LLRs are clipped on loading
         if np.isnan(llrs).any():

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+from numbers import Integral
 
 
 class SymLdpcError(Exception):
@@ -55,3 +57,15 @@ class LengthMismatchError(SymLdpcError, ValueError):
 
 class InconsistentError(SymLdpcError, ValueError):
     """A fully known parity check fails during erasure decoding."""
+
+
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int, refused unless it is an integer (bool is not) >= least."""
+    if (
+        not isinstance(value, Integral)
+        or isinstance(value, bool)
+        or (least is not None and value < least)
+    ):
+        bound = "" if least is None else f" >= {least}"
+        raise BadParametersError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

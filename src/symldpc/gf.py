@@ -3,9 +3,24 @@
 Field elements are canonical integer indices in [0, q) with q = p^m: the
 base-p encoding of the polynomial coefficient vector, constant term least
 significant.  Index 0 is the additive zero and index 1 the multiplicative
-identity.  Each field uses one fixed monic irreducible modulus, the
-lexicographically smallest by coefficient vector (constant term first), so
-element indices are stable across runs and platforms.
+identity.  Each field uses one fixed monic modulus of degree m, so element
+indices are stable across runs and platforms.
+
+Products follow one rule.  Multiplying by a fixed a is GF(p)-linear, so if
+b's lowest nonzero coefficient is at x^i, then b - x^i has index b - p^i
+and a*b = a*(b - x^i) + a*x^i.  Row a of the product table thus fills in
+ascending b from its own earlier entries.  The products a*x^i come from the
+multiply-by-x map: shift the coefficients up one place and replace the
+x^m that falls out by its residue modulo the modulus.
+
+The modulus is the first candidate x^m + g, in ascending index g, whose
+quotient ring GF(p)[x]/(x^m + g) is a field.  That ring is a field exactly
+when the modulus is irreducible (Lidl & Niederreiter, Finite Fields,
+ch. 1), and a finite commutative ring is a field exactly when every
+nonzero element has an inverse.  So the inverse search that the tables
+need anyway is the irreducibility test: a candidate is dropped at the
+first row of its product table that holds no 1.  The modulus chosen is
+the lexicographically smallest monic irreducible of degree m (x for m = 1).
 
 Arithmetic is fully table-driven.  Tables take O(q^2) memory, which is the
 practical limit well before the hard q <= 2^16 constructor cap; every
@@ -21,39 +36,26 @@ from .exceptions import (
     DivideByZeroError,
     NotPrimeError,
     TooLargeError,
+    check_integer,
 )
 
 FIELD_SIZE_CAP = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _smallest_factor(n: int) -> int:
+    """The smallest factor >= 2 of n >= 2, by trial division (n itself when n is prime)."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            return f
+        f += 1
+    return n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p^m, or raise BadParametersError."""
-    if q < 2:
-        raise BadParametersError(f"field size must be >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    m = 0
-    rest = q
+    q = check_integer("q", q, 2)
+    p, m, rest = _smallest_factor(q), 0, q
     while rest % p == 0:
         rest //= p
         m += 1
@@ -70,45 +72,31 @@ def _digits(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num / den over GF(p); den must be monic. Low-to-high coeffs."""
-    rem = list(num)
-    dd = len(den) - 1
-    for k in range(len(rem) - 1, dd - 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        for i in range(dd + 1):
-            rem[k - dd + i] = (rem[k - dd + i] - c * den[i]) % p
-    return rem[:dd]
+def _field_products(add, steps, reduce_xm, p: int, m: int):
+    """(mul_table, inv_table) of GF(p)[x]/(x^m + g), or None if it is no field.
 
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    m = len(coeffs) - 1
-    if coeffs[0] == 0:
-        return False
-    for deg in range(1, m // 2 + 1):
-        for enc in range(p**deg):
-            den = _digits(enc, p, deg) + [1]
-            if not any(_poly_rem(coeffs, den, p)):
-                return False
-    return True
-
-
-def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree m over GF(p).
-
-    Coefficients are returned low-to-high (constant term first, leading 1
-    last); candidates are ordered by the base-p integer encoding of the
-    non-leading coefficients.  For m = 1 the polynomial x is returned.
+    steps lists (b, b - p^i, i) for b = 1..q-1, with i the position of b's
+    lowest nonzero coefficient; reduce_xm[c] is the index of -c*g, the
+    residue of c*x^m.  Rows are built in ascending a, and the first row
+    without a 1 (an element with no inverse) rejects the candidate.
     """
-    if m == 1:
-        return (0, 1)
-    for enc in range(p**m):
-        coeffs = _digits(enc, p, m) + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    q = len(add)
+    top = q // p  # the index of x^(m-1)
+    mul: list[tuple[int, ...]] = [(0,) * q]
+    inv: list[int | None] = [None]
+    for a in range(1, q):
+        ax = [a]  # a * x^i for i < m
+        while len(ax) < m:
+            e = ax[-1]
+            ax.append(add[e % top * p][reduce_xm[e // top]])
+        row = [0] * q
+        for b, rest, i in steps:
+            row[b] = add[row[rest]][ax[i]]
+        if 1 not in row:
+            return None
+        mul.append(tuple(row))
+        inv.append(row.index(1))
+    return tuple(mul), tuple(inv)
 
 
 class FieldTable:
@@ -137,86 +125,45 @@ class FieldTable:
     )
 
     def __init__(self, p: int, m: int = 1):
-        if not _is_prime(p):
+        p = check_integer("p", p)
+        if p < 2 or _smallest_factor(p) != p:
             raise NotPrimeError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise BadParametersError(f"extension degree must be >= 1, got {m}")
+        m = check_integer("m", m, 1)
+        # p >= 2, so p^m exceeds the cap once m reaches the cap's bit length
+        if m >= FIELD_SIZE_CAP.bit_length() or p**m > FIELD_SIZE_CAP:
+            raise TooLargeError(f"field size {p}^{m} exceeds cap {FIELD_SIZE_CAP}")
         q = p**m
-        if q > FIELD_SIZE_CAP:
-            raise TooLargeError(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = smallest_irreducible(p, m)
 
+        place = [p**i for i in range(m)]
         digits = [_digits(e, p, m) for e in range(q)]
 
-        add = []
-        for a in range(q):
-            da = digits[a]
-            row = []
-            for b in range(q):
-                db = digits[b]
-                s = 0
-                for i in range(m - 1, -1, -1):
-                    s = s * p + (da[i] + db[i]) % p
-                row.append(s)
-            add.append(tuple(row))
-        self.add_table = tuple(add)
-        self.neg_table = tuple(self._index_of([(-d) % p for d in digits[a]]) for a in range(q))
+        def index(coeffs) -> int:
+            return sum(c % p * w for c, w in zip(coeffs, place))
 
-        # x^k mod modulus for k up to 2(m-1), as coefficient vectors
-        xpow = [[0] * m for _ in range(2 * m - 1)]
-        cur = [0] * m
-        cur[0] = 1
-        for k in range(2 * m - 1):
-            xpow[k] = list(cur)
-            # multiply cur by x
-            carry = cur[m - 1]
-            cur = [0] + cur[:-1]
-            if carry:
-                for i in range(m):
-                    cur[i] = (cur[i] - carry * self.modulus[i]) % p
+        add = tuple(
+            tuple(index(x + y for x, y in zip(da, db)) for db in digits) for da in digits
+        )
+        self.add_table = add
+        self.neg_table = tuple(index(-x for x in d) for d in digits)
 
-        mul = []
-        for a in range(q):
-            da = digits[a]
-            row = []
-            for b in range(q):
-                db = digits[b]
-                acc = [0] * m
-                for i in range(m):
-                    ci = da[i]
-                    if ci == 0:
-                        continue
-                    for j in range(m):
-                        cj = db[j]
-                        if cj == 0:
-                            continue
-                        pw = xpow[i + j]
-                        c = ci * cj
-                        for t in range(m):
-                            if pw[t]:
-                                acc[t] = (acc[t] + c * pw[t]) % p
-                row.append(self._index_of(acc))
-            mul.append(tuple(row))
-        self.mul_table = tuple(mul)
-
-        inv: list[int | None] = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    inv[a] = b
-                    break
-        self.inv_table = tuple(inv)
+        low = [0] * q  # the position of b's lowest nonzero coefficient
+        for b in range(p, q):
+            low[b] = 0 if b % p else low[b // p] + 1
+        steps = [(b, b - place[low[b]], low[b]) for b in range(1, q)]
+        for g in range(q):
+            reduce_xm = [index(-c * x for x in digits[g]) for c in range(p)]
+            tables = _field_products(add, steps, reduce_xm, p, m)
+            if tables is not None:
+                break
+        else:
+            raise AssertionError("no irreducible modulus found")  # unreachable
+        self.modulus = (*digits[g], 1)
+        self.mul_table, self.inv_table = tables
 
         self.primitive = self._find_primitive()
-
-    def _index_of(self, coeffs: list[int]) -> int:
-        s = 0
-        for c in reversed(coeffs):
-            s = s * self.p + c
-        return s
 
     def _find_primitive(self) -> int:
         target = self.q - 1
@@ -260,12 +207,6 @@ class FieldTable:
             raise DivideByZeroError("zero has no multiplicative inverse")
         return self.inv_table[a]
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    def nonzero(self) -> range:
-        return range(1, self.q)
-
     def primitive_powers(self) -> list[int]:
         """[alpha^0, alpha^1, ..., alpha^(q-2)] for the designated primitive alpha."""
         out = [1]
@@ -278,13 +219,6 @@ class FieldTable:
 
 
 @lru_cache(maxsize=None)
-def field_table(p: int, m: int = 1) -> FieldTable:
-    """Cached FieldTable constructor."""
-    return FieldTable(p, m)
-
-
-@lru_cache(maxsize=None)
 def field_of_size(q: int) -> FieldTable:
     """Cached FieldTable for the field with q elements."""
-    p, m = factor_prime_power(q)
-    return field_table(p, m)
+    return FieldTable(*factor_prime_power(q))

@@ -25,10 +25,10 @@ from itertools import chain
 import numpy as np
 
 from .exceptions import (
-    BadParametersError,
     StructureViolationError,
     TooLargeError,
     UnsupportedGirthError,
+    check_integer,
 )
 from .incidence import SparseBitMatrix
 
@@ -185,11 +185,6 @@ def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:
     return best_w, best_cw
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 1:
-        raise BadParametersError(f"distance search budget must be >= 1, got {budget}")
-
-
 def _extend(cols: np.ndarray, keys: np.ndarray, packed: np.ndarray):
     """The (k+1)-subset table from the k-subset table.
 
@@ -254,7 +249,7 @@ def _support_search(h: SparseBitMatrix, budget: int) -> DistanceResult:
     two distinct subsets with equal syndromes are disjoint and their union
     is a dependency of weight w.
     """
-    _check_budget(budget)
+    budget = check_integer("budget", budget, 1)
     half = budget - budget // 2
     largest = max(math.comb(h.ncols, k) for k in range(min(half, h.ncols) + 1))
     if largest > SUPPORT_TABLE_CAP:
@@ -303,7 +298,7 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
     dependency; a hit at weight w is exact because all smaller weights
     were exhausted first.
     """
-    _check_budget(budget)
+    budget = check_integer("budget", budget, 1)
     echelon, pivots = _echelon(h)
     k = h.ncols - len(pivots)
     if k == 0:
@@ -339,7 +334,7 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
     size is exhausted within the budget.
     """
     if budget is not None:
-        _check_budget(budget)
+        budget = check_integer("budget", budget, 1)
     if h.ncols == 0:
         # no nonempty column set; report min_distance's n + 1 sentinel
         return DistanceResult(

@@ -22,7 +22,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .decode import (
     SumProductDecoder,
     peel_decode_bec,
 )
-from .exceptions import BadParametersError
+from .exceptions import BadParametersError, check_integer
 
 CSV_HEADER = ["code_id", "channel", "param", "trials", "word_errors", "bit_errors", "wer", "ber", "seed"]
 
@@ -135,15 +134,6 @@ def _standard_normals(u: np.ndarray, n: int) -> np.ndarray:
     return u[:, :n]
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
-    """value as a plain int, refused unless it is an integer (bool is not) >= least."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise BadParametersError(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise BadParametersError(f"{name} must be >= {least}, got {value!r}")
-    return int(value)
-
-
 def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
     """Run one cell per parameter; the channel enters only through `errors`.
 
@@ -152,9 +142,9 @@ def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
     uniforms) maps a (batch, words) block to per-trial bit error counts,
     and a trial with any bit error is a word error.
     """
-    trials = _integer("trials", trials, 1)
-    seed = _integer("seed", seed)
-    batch_size = _integer("batch_size", batch_size, 1)
+    trials = check_integer("trials", trials, 1)
+    seed = check_integer("seed", seed)
+    batch_size = check_integer("batch_size", batch_size, 1)
     wpt = _words_per_trial(code.length)
 
     def run_cell(cell: int) -> SimResult:
@@ -201,7 +191,7 @@ def run_awgn_sweep(
     for ebno in ebno_list:
         if not np.isfinite(ebno):
             raise BadParametersError(f"Eb/N0 must be finite, got {ebno}")
-    max_iters = _integer("max_iters", max_iters, 1)
+    max_iters = check_integer("max_iters", max_iters, 1)
     decoder = SumProductDecoder(code.h)
     n = code.length
 

@@ -28,6 +28,7 @@ from .exceptions import (
     NotInvertibleError,
     StructureViolationError,
     TooLargeError,
+    check_integer,
 )
 from .gf import FieldTable
 
@@ -75,8 +76,7 @@ class SymSpace:
     """The point set of n x n symmetric matrices over a fixed field."""
 
     def __init__(self, n: int, fld: FieldTable):
-        if n < 1:
-            raise BadParametersError(f"matrix order must be >= 1, got {n}")
+        n = check_integer("n", n, 1)
         self.n = n
         self.field = fld
         self.q = fld.q

@@ -189,6 +189,22 @@ def test_gallager_bad_parameters():
         gallager_random(12, 0, 3, seed=1)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("length", 12.0),
+        ("col_wt", True),
+        ("row_wt", "3"),
+        ("seed", 1.5),
+        ("seed", -1),
+    ],
+)
+def test_gallager_parameters_must_be_integers(name, value):
+    kwargs = {"length": 12, "col_wt": 2, "row_wt": 3, "seed": 1, name: value}
+    with pytest.raises(BadParametersError, match=f"{name} must be an integer"):
+        gallager_random(**kwargs)
+
+
 def test_girth_property_lazy(ct22):
     assert ct22.girth == 8
     assert make_code(FAMILY_SYMMETRIC, 2, 3).girth == 8

@@ -440,6 +440,14 @@ def test_decoder_input_validation(ct22):
         bp_decode_awgn(ct22, np.zeros(12), max_iters=0)
 
 
+@pytest.mark.parametrize("max_iters", [1.5, True, "2", np.float64(3.0)])
+def test_max_iters_must_be_an_integer(ct22, max_iters):
+    with pytest.raises(BadParametersError, match="max_iters must be an integer >= 1"):
+        SumProductDecoder(ct22.h).decode_batch(np.ones((1, 12)), max_iters)
+    with pytest.raises(BadParametersError, match="max_iters must be an integer >= 1"):
+        bp_decode_awgn(ct22, np.ones(12), max_iters=max_iters)
+
+
 def test_nan_llrs_are_refused_and_infinite_ones_clipped(ct22):
     with pytest.raises(BadParametersError, match="NaN"):
         bp_decode_awgn(ct22, np.full(12, np.nan))

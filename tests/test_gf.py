@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from symldpc import FieldTable, factor_prime_power, field_of_size
@@ -154,3 +155,209 @@ def test_factor_prime_power():
         factor_prime_power(6)
     with pytest.raises(BadParametersError):
         factor_prime_power(1)
+
+
+@pytest.mark.parametrize(
+    "p, m", [(2, 1.5), (2.0, 3), (True, 2), (2, True), ("2", 1), (2, np.float64(2))]
+)
+def test_constructor_parameters_must_be_integers(p, m):
+    with pytest.raises(BadParametersError, match="must be an integer"):
+        FieldTable(p, m)
+
+
+@pytest.mark.parametrize("p, m", [(2, 17), (3, 11), (65537, 1), (2, 20000), (3, 10**5)])
+def test_oversized_field_is_too_large(p, m):
+    with pytest.raises(TooLargeError, match=f"field size {p}\\^{m} exceeds cap 65536"):
+        FieldTable(p, m)
+
+
+def test_constructor_stores_numpy_integers_as_plain_ints():
+    ft = FieldTable(np.int64(2), np.int8(3))
+    assert (type(ft.p), type(ft.m), type(ft.q)) == (int, int, int)
+    assert ft.mul_table == field_of_size(8).mul_table
+
+
+# -- the field oracle: the modulus found by dividing each candidate by every
+# -- monic polynomial of at most half its degree, products summed from an
+# -- x^k-power table, and inverses searched for afterwards
+
+
+def _digits(value, p, width):
+    out = []
+    for _ in range(width):
+        out.append(value % p)
+        value //= p
+    return out
+
+
+def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of num / den over GF(p); den must be monic. Low-to-high coeffs."""
+    rem = list(num)
+    dd = len(den) - 1
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        if c == 0:
+            continue
+        for i in range(dd + 1):
+            rem[k - dd + i] = (rem[k - dd + i] - c * den[i]) % p
+    return rem[:dd]
+
+
+def _is_irreducible(coeffs: list[int], p: int) -> bool:
+    m = len(coeffs) - 1
+    if coeffs[0] == 0:
+        return False
+    for deg in range(1, m // 2 + 1):
+        for enc in range(p**deg):
+            den = _digits(enc, p, deg) + [1]
+            if not any(_poly_rem(coeffs, den, p)):
+                return False
+    return True
+
+
+def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree m over GF(p).
+
+    Coefficients are returned low-to-high (constant term first, leading 1
+    last); candidates are ordered by the base-p integer encoding of the
+    non-leading coefficients.  For m = 1 the polynomial x is returned.
+    """
+    if m == 1:
+        return (0, 1)
+    for enc in range(p**m):
+        coeffs = _digits(enc, p, m) + [1]
+        if _is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def reference_field(p, m):
+    """modulus, the four tables and primitive, each built the long way."""
+    q = p**m
+    modulus = smallest_irreducible(p, m)
+
+    def _index_of(coeffs):
+        s = 0
+        for c in reversed(coeffs):
+            s = s * p + c
+        return s
+
+    digits = [_digits(e, p, m) for e in range(q)]
+
+    add = []
+    for a in range(q):
+        da = digits[a]
+        row = []
+        for b in range(q):
+            db = digits[b]
+            s = 0
+            for i in range(m - 1, -1, -1):
+                s = s * p + (da[i] + db[i]) % p
+            row.append(s)
+        add.append(tuple(row))
+    neg = tuple(_index_of([(-d) % p for d in digits[a]]) for a in range(q))
+
+    # x^k mod modulus for k up to 2(m-1), as coefficient vectors
+    xpow = [[0] * m for _ in range(2 * m - 1)]
+    cur = [0] * m
+    cur[0] = 1
+    for k in range(2 * m - 1):
+        xpow[k] = list(cur)
+        # multiply cur by x
+        carry = cur[m - 1]
+        cur = [0] + cur[:-1]
+        if carry:
+            for i in range(m):
+                cur[i] = (cur[i] - carry * modulus[i]) % p
+
+    mul = []
+    for a in range(q):
+        da = digits[a]
+        row = []
+        for b in range(q):
+            db = digits[b]
+            acc = [0] * m
+            for i in range(m):
+                ci = da[i]
+                if ci == 0:
+                    continue
+                for j in range(m):
+                    cj = db[j]
+                    if cj == 0:
+                        continue
+                    pw = xpow[i + j]
+                    c = ci * cj
+                    for t in range(m):
+                        if pw[t]:
+                            acc[t] = (acc[t] + c * pw[t]) % p
+            row.append(_index_of(acc))
+        mul.append(tuple(row))
+
+    inv = [None] * q
+    for a in range(1, q):
+        for b in range(1, q):
+            if mul[a][b] == 1:
+                inv[a] = b
+                break
+
+    primitive = None
+    for a in range(1, q):
+        x, order = a, 1
+        while x != 1:
+            x = mul[x][a]
+            order += 1
+        if order == q - 1:
+            primitive = a
+            break
+
+    return {
+        "modulus": modulus,
+        "add_table": tuple(add),
+        "neg_table": neg,
+        "mul_table": tuple(mul),
+        "inv_table": tuple(inv),
+        "primitive": primitive,
+    }
+
+
+# every prime power up to 2000 as (p, m), with primality by division by every smaller number
+PRIME_POWERS = {
+    p**m: (p, m)
+    for p in range(2, 2001)
+    if all(p % d for d in range(2, p))
+    for m in range(1, 11)
+    if p**m <= 2000
+}
+PRIME_POWERS_TO_128 = sorted(q for q in PRIME_POWERS if q <= 128)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_128)
+def test_tables_equal_the_reference_construction(q):
+    p, m = PRIME_POWERS[q]
+    ft = FieldTable(p, m)
+    want = reference_field(p, m)
+    assert {name: getattr(ft, name) for name in want} == want
+
+
+def test_factor_prime_power_against_brute_force():
+    for q in range(-2, 2001):
+        want = PRIME_POWERS.get(q)
+        if want is None:
+            with pytest.raises(BadParametersError):
+                factor_prime_power(q)
+        else:
+            assert factor_prime_power(q) == want
+
+
+@pytest.mark.parametrize("q", [8.0, 2.5, True, "4", np.float64(9.0)])
+def test_field_size_must_be_an_integer(q):
+    with pytest.raises(BadParametersError, match="q must be an integer >= 2"):
+        factor_prime_power(q)
+    with pytest.raises(BadParametersError, match="q must be an integer >= 2"):
+        field_of_size(q)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 91, 121])
+def test_composite_characteristic_is_not_prime(p):
+    with pytest.raises(NotPrimeError):
+        FieldTable(p, 1)

@@ -571,6 +571,13 @@ def test_searches_reject_budget_below_one(ct22, budget):
         _support_search(ct22.h, budget=budget)
 
 
+@pytest.mark.parametrize("budget", [2.5, True, "3", np.float64(4.0)])
+@pytest.mark.parametrize("search", [min_distance, stopping_distance, _support_search])
+def test_searches_reject_budgets_that_are_not_integers(ct22, search, budget):
+    with pytest.raises(BadParametersError, match="budget must be an integer >= 1"):
+        search(ct22.h, budget=budget)
+
+
 def test_support_search_refuses_tables_past_cap(ct22, monkeypatch):
     # CT(2,2) has 12 columns; budget 6 builds C(12, 3) = 220 3-subsets
     monkeypatch.setattr(gf2, "SUPPORT_TABLE_CAP", 219)

@@ -17,6 +17,12 @@ from symldpc.exceptions import (
 from test_acceptance import _all_graph_distances
 
 
+@pytest.mark.parametrize("n", [1.5, True, "2", 0])
+def test_order_must_be_a_positive_integer(n):
+    with pytest.raises(BadParametersError, match="n must be an integer >= 1"):
+        SymSpace(n, field_of_size(2))
+
+
 @pytest.mark.parametrize("n,q,expected", [(2, 2, 8), (2, 3, 27), (2, 4, 64), (3, 2, 64)])
 def test_point_count(n, q, expected):
     assert sym_space(n, q).size == expected

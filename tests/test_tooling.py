@@ -2,6 +2,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import symldpc
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "symldpc"
 
 
@@ -47,3 +49,25 @@ def test_every_private_helper_is_used():
         and used[node.name] == _names_used(node)[node.name]
     ]
     assert not unused, "private helpers nothing else in src uses: " + ", ".join(unused)
+
+
+def test_package_all_lists_exactly_its_imports():
+    # a name dropped from the imports but not from __all__ (or the reverse)
+    # breaks `from symldpc import *` or hides a public name
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    [exported] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    assert len(set(exported)) == len(exported), "__all__ lists a name twice"
+    assert sorted(exported) == sorted(imported)
+    missing = [name for name in exported if not hasattr(symldpc, name)]
+    assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
