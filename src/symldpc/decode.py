@@ -8,18 +8,27 @@ thousands of noise realizations per numpy call; each word's evolution is
 independent of the rest of the batch, so results never depend on how
 trials are grouped.
 
-A call decodes at most LANES words at once, and lanes [0, live) of its
-pool always hold the words still decoding.  After each iteration the
-words that converged or reached max_iters are written out, and the live
-lanes at or past `live` move down into the finished lanes below it, so a
-move touches at most as many lanes as just finished.  The free lanes at
-the top then take the next pending words of the batch as one block (the
-words' LLRs clipped straight into the lanes, their posteriors set to
-them and their c2v messages zeroed).  Once fewer words are pending than
-lanes are free, the live prefix is re-laid as a narrower (rows, live)
-block at the front of the same buffers.  The message and scratch buffers
-are allocated once per call, LANES words wide, and filled in place, so
-the decoder's memory scales with LANES rather than with the batch.  The
+A call decodes its words in a pool of lanes, and lanes [0, live) of the
+pool always hold the words still decoding.  The pool is LANES wide, or
+narrower where one edge-sized float64 buffer (a row per check-side slot,
+plus the sentinel row) of that width would pass POOL_BYTES, and never
+wider than the batch.  After each iteration the words that converged or
+reached max_iters are written out, and the live lanes at or past `live`
+move down into the finished lanes below it, so a move touches at most as
+many lanes as just finished.  The free lanes at the top then take the
+next pending words of the batch as one block: only the words' LLRs are
+written, clipped straight into the lanes.  A fresh lane's first
+iteration needs nothing else, because its c2v messages are all 0, so its
+v2c on every edge is clip(llr - 0) = llr: the iteration computes
+tanh(llr / 2) once per bit for the fresh lanes and copies it to the
+bit's slots, while the held lanes compute tanh(v2c / 2) slot by slot,
+and one gather then reads both onto the check side.  Halving and tanh
+are the same operations on the same values before the gather as after
+it, so this is exact.  Once fewer words are pending than lanes are free,
+the live prefix is re-laid as a narrower (rows, live) block at the front
+of the same buffers.  The message and scratch buffers are allocated once
+per call, at the pool's width, and filled in place, so the decoder's
+memory scales with POOL_BYTES rather than with the batch.  The
 check update divides each slot's tanh out of its check's product whenever
 no tanh is exactly 0, which is nearly always; otherwise it takes the
 zero-count branch, and both give each lane the same values.  Lanes never
@@ -30,9 +39,10 @@ on the lane count or on how trials are batched.
 
 Messages live in two padded layouts: the check side is (nonzero rows x max
 row weight) and the variable side is (columns x max column weight).  Slots
-past a node's degree read a sentinel row: v2c = +inf on the check side
-(tanh = 1, exact in the product), c2v = 0 and bit 0 on the variable side.
-Irregular graphs and unchecked columns thus need no separate code path.
+past a node's degree read a sentinel row: tanh(v2c / 2) = 1 on the check
+side (v2c = +inf, exact in the product), c2v = 0 and bit 0 on the
+variable side.  Irregular graphs and unchecked columns thus need no
+separate code path.
 
 Convention: BPSK maps bit 0 to +1 and bit 1 to -1, and the channel LLR of
 a received amplitude y is 2y/sigma^2 (positive means bit 0 more likely).
@@ -78,6 +88,9 @@ ERASED = -1
 # words BP decodes at once: a word that converges or reaches max_iters hands
 # its lane to the next pending word of the batch
 LANES = 1024
+# bytes of one edge-sized float64 buffer of the pool; a graph with many edges
+# gets fewer than LANES lanes, so the pool's buffers stay cache-sized
+POOL_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,12 @@ class SumProductDecoder:
         self.check_side.flat[check_slot] = var_slot
         self.var_side.flat[var_slot] = check_slot
 
+    def _pool_width(self, batch: int) -> int:
+        """Lanes of a call's pool: LANES, fewer where an edge-sized float64
+        buffer of that width would pass POOL_BYTES, and no more than the batch."""
+        per_lane = 8 * (self.check_side.size + 1)
+        return min(LANES, batch, max(1, POOL_BYTES // per_lane))
+
     def decode_batch(
         self, llrs: np.ndarray, max_iters: int = DEFAULT_MAX_ITERS
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,19 +188,19 @@ class SumProductDecoder:
         var_of_check_slot = check_slots // col_wt  # sentinel -> ncols
         tanh_cap = np.tanh(0.5 * LLR_CLIP)
 
-        # every buffer is allocated once, LANES words wide, and lives in this
-        # call (a sweep shares the decoder across threads); a pool of `width`
-        # lanes uses the first rows * width entries as a (rows, width) array
-        width = min(LANES, batch)
+        # every buffer is allocated once, at the pool's starting width, and
+        # lives in this call (a sweep shares the decoder across threads); a
+        # pool of `width` lanes uses the first rows * width entries as a (rows, width) array
+        width = self._pool_width(batch)
         state = [np.empty((rows, width)) for rows in (n, n, var_slots.size)]
         scratch = [
             np.empty((rows, width), dtype)
             for rows, dtype in (
-                (var_slots.size + 1, np.float64),  # v2c, then its sentinel row
-                (check_slots.size, np.float64),  # tanh, then leave-one-out
+                (var_slots.size + 1, np.float64),  # tanh(v2c / 2), then its sentinel row
                 (check_slots.size, bool),  # tanh == 0
                 (m, np.float64),  # check product
-                (check_slots.size + 1, np.float64),  # c2v, then its sentinel row
+                # tanh, leave-one-out, then c2v per check slot; then c2v's sentinel row
+                (check_slots.size + 1, np.float64),
                 (n + 1, bool),  # hard decisions, then the sentinel bit
                 (check_slots.size, bool),  # decisions gathered per check slot
                 (m, bool),  # check parity
@@ -193,13 +212,13 @@ class SumProductDecoder:
         live = loaded = 0
 
         while True:
-            # the free lanes [live, width) take the next pending words as a block
+            # the free lanes [live, width) take the next pending words as a
+            # block; until their first iteration only llr_t holds their state
+            held = live
             fresh = min(width - live, batch - loaded)
             if fresh:
                 lanes = slice(live, live + fresh)
                 np.clip(llrs[loaded : loaded + fresh].T, -LLR_CLIP, LLR_CLIP, out=llr_t[:, lanes])
-                post[:, lanes] = llr_t[:, lanes]
-                c2v_var[:, lanes] = 0.0
                 lane_word[lanes] = np.arange(loaded, loaded + fresh)
                 lane_iter[lanes] = 0
                 live += fresh
@@ -215,19 +234,31 @@ class SumProductDecoder:
                 lane_word, lane_iter = lane_word[:live], lane_iter[:live]
                 width = live
             c2v_by_var = c2v_var.reshape(n, col_wt, width)
-            v2c, t, zero, prod, c2v, bits, par, parity = (
+            tv, zero, prod, c2v, bits, par, parity = (
                 _lane_view(buf, width) for buf in scratch
             )
 
-            v2c[-1] = np.inf  # tanh(inf) = 1 leaves the check product exact
-            v2c_by_var = v2c[:-1].reshape(c2v_by_var.shape)
-            np.subtract(post[:, None], c2v_by_var, out=v2c_by_var)
-            np.clip(v2c_by_var, -LLR_CLIP, LLR_CLIP, out=v2c_by_var)
+            # tanh(v2c / 2) on the variable side, then gathered per check slot:
+            # the same operations on the same values as gathering v2c first
+            tv[-1] = 1.0  # tanh(inf / 2) = 1 leaves the check product exact
+            tv_by_var = tv[:-1].reshape(c2v_by_var.shape)
+            v = tv_by_var[..., :held]
+            np.subtract(post[:, None, :held], c2v_by_var[..., :held], out=v)
+            np.clip(v, -LLR_CLIP, LLR_CLIP, out=v)
+            np.multiply(0.5, v, out=v)
+            np.tanh(v, out=v)
+            # a fresh lane's c2v are 0, so its v2c on every edge is its clipped
+            # LLR: one tanh per bit, copied to the bit's slots.  The tanh goes
+            # in the lane's posterior, unused until the variable update, as a
+            # source inside tv would make numpy buffer the whole broadcast
+            first = post[:, held:]
+            np.multiply(0.5, llr_t[:, held:], out=first)
+            np.tanh(first, out=first)
+            tv_by_var[..., held:] = first[:, None]
 
             # mode="clip" skips the bounds-check copy; the slots are in range
-            np.take(v2c, check_slots, axis=0, out=t, mode="clip")
-            np.multiply(0.5, t, out=t)
-            np.tanh(t, out=t)
+            t = c2v[:-1]
+            np.take(tv, check_slots, axis=0, out=t, mode="clip")
             t = t.reshape(m, row_wt, width)
             zero = np.equal(t, 0.0, out=zero.reshape(t.shape))
             if zero.any():
@@ -244,10 +275,9 @@ class SumProductDecoder:
                 np.multiply.reduce(t, axis=1, out=prod)
                 loo = np.divide(prod[:, None], t, out=t)
             np.clip(loo, -tanh_cap, tanh_cap, out=loo)
+            np.arctanh(loo, out=t)
+            np.multiply(2.0, t, out=t)
             c2v[-1] = 0.0
-            c2v_by_check = c2v[:-1].reshape(loo.shape)
-            np.arctanh(loo, out=c2v_by_check)
-            np.multiply(2.0, c2v_by_check, out=c2v_by_check)
 
             np.take(c2v, var_slots, axis=0, out=c2v_var, mode="clip")
             # x0 + ((x1 + x2) + ...) matches the reference decoder in the tests

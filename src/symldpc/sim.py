@@ -29,6 +29,7 @@ from .codes import CodeSpec
 from .decode import (
     DEFAULT_MAX_ITERS,
     ERASED,
+    POOL_BYTES,
     AwgnChannel,
     SumProductDecoder,
     peel_decode_bec,
@@ -100,6 +101,10 @@ def _uniforms(seed: int, cell: int, start_word: int, nwords: int) -> np.ndarray:
     """Open-interval (0,1) doubles from the (seed, cell) Philox stream.
 
     Computed in the raw words' own memory: (raw >> 11) + 0.5, times 2^-53.
+    The conversion runs POOL_BYTES at a time: numpy copies an input that
+    shares memory with an output of another dtype, so the copy is one chunk
+    rather than the whole block.  The shifted words are read as int64; each
+    is below 2^53, so they cast to the same doubles as uint64 would.
     """
     if start_word % 4:
         raise BadParametersError(f"start word {start_word} is not on a Philox block boundary")
@@ -108,8 +113,10 @@ def _uniforms(seed: int, cell: int, start_word: int, nwords: int) -> np.ndarray:
     bg.advance(start_word // 4)
     raw = bg.random_raw(nwords)
     raw >>= np.uint64(11)
-    u = raw.view(np.float64)
-    np.add(raw, 0.5, out=u)  # casts each word to float64, then adds; numpy buffers the cast
+    words, u = raw.view(np.int64), raw.view(np.float64)
+    chunk = POOL_BYTES // raw.itemsize
+    for lo in range(0, nwords, chunk):
+        np.add(words[lo : lo + chunk], 0.5, out=u[lo : lo + chunk])
     u *= 2.0**-53
     return u
 
@@ -225,11 +232,12 @@ def run_bec_sweep(
 
     def errors(p: float, u: np.ndarray) -> np.ndarray:
         erase = u[:, :n] < p
-        errs = np.empty(len(erase), dtype=np.int64)
-        for t, row in enumerate(erase):
-            outcome = peel_decode_bec(code, np.where(row, ERASED, 0))
-            # bits left erased plus bits resolved to 1; a stall leaves at least one
-            errs[t] = int(row.sum()) - outcome.iterations + int(outcome.word.sum())
+        words = np.where(erase, np.int8(ERASED), np.int8(0))
+        # bits left erased plus bits resolved to 1; a stall leaves at least one
+        errs = erase.sum(axis=1)
+        for t, word in enumerate(words):
+            outcome = peel_decode_bec(code, word)
+            errs[t] += int(outcome.word.sum()) - outcome.iterations
         return errs
 
     return _sweep(code, "bec", probs, trials, seed, errors, threads, batch_size)

@@ -322,31 +322,75 @@ def _alternating_batch(code, words, max_iters, rng):
 # Half of the words finish at iteration 1 and the rest only at max_iters, so
 # a pool narrower than the batch refills and moves lanes on every iteration,
 # and a pool as wide as the batch packs its scattered live lanes down before
-# it narrows.
+# it narrows.  The byte budget is lifted so that LANES or the batch sets the
+# width.
 @pytest.mark.parametrize("lanes", [2, 5, 1024])
 def test_lane_packing_matches_reference(c24, lanes, monkeypatch):
     monkeypatch.setattr(decode, "LANES", lanes)
+    monkeypatch.setattr(decode, "POOL_BYTES", 1 << 30)
     max_iters = 6
     llrs = _alternating_batch(c24, 301, max_iters, np.random.default_rng(2026))
+    assert SumProductDecoder(c24.h)._pool_width(len(llrs)) == min(lanes, len(llrs))
     _assert_same_decodes(c24.h, llrs, max_iters)
     _, converged, iters = SumProductDecoder(c24.h).decode_batch(llrs, max_iters)
     assert converged[0::2].all() and (iters[0::2] == 1).all()
     assert not converged[1::2].any() and (iters[1::2] == max_iters).all()
 
 
-def test_one_sweep_batch_stays_under_five_batch_sized_blocks(c24):
-    # a batch of 8192 words of 64 bits is one 4 MiB float64 block; noise drawn
-    # in place and a decoder pool of LANES words keep the peak under five
+def test_pool_width_is_the_tightest_of_budget_lanes_and_batch(c24, ct22, monkeypatch):
+    # one lane of an edge-sized float64 buffer, with its sentinel row
+    dec = SumProductDecoder(c24.h)
+    assert dec.check_side.shape == (80, 4)
+    budget = decode.POOL_BYTES // (8 * 321)
+    assert 1 < budget < decode.LANES  # C(2,4) is bound by the byte budget
+    assert dec._pool_width(8192) == budget
+    assert dec._pool_width(budget - 1) == budget - 1
+    # CT(2,2), with 24 edges, is bound by LANES
+    dec = SumProductDecoder(ct22.h)
+    assert dec.check_side.size == 24
+    assert decode.POOL_BYTES // (8 * 25) > decode.LANES
+    assert dec._pool_width(8192) == decode.LANES
+    assert dec._pool_width(7) == 7
+    # a graph without edges has no edge-sized buffer to bound
+    dec = SumProductDecoder(SparseBitMatrix.from_rows(2, 3, [(), ()]))
+    assert dec.check_side.size == 0
+    assert dec._pool_width(8192) == decode.LANES
+    assert dec._pool_width(0) == 0
+    # five lanes of C(2,4)'s 320 slots and sentinel row need 5 * 8 * 321 bytes
+    monkeypatch.setattr(decode, "POOL_BYTES", 5 * 8 * 321 - 1)
+    assert SumProductDecoder(c24.h)._pool_width(8192) == 4
+    # a budget below one lane still gets one
+    monkeypatch.setattr(decode, "POOL_BYTES", 1)
+    assert SumProductDecoder(c24.h)._pool_width(8192) == 1
+
+
+# budgets of 1, 7 and 204 lanes on C(2,4) and CT(2,4) (320 edges each), and
+# one that leaves a pool as wide as the batch
+@pytest.mark.parametrize("pool_bytes", [1, 7 * 8 * 321, 512 * 1024, 1 << 30])
+@pytest.mark.parametrize("code_name", ["c24", "ct24"])
+def test_outputs_do_not_depend_on_the_pool_budget(code_name, pool_bytes, request, monkeypatch):
+    code = request.getfixturevalue(code_name)
+    monkeypatch.setattr(decode, "POOL_BYTES", pool_bytes)
+    max_iters = 6
+    llrs = _alternating_batch(code, 301, max_iters, np.random.default_rng(7))
+    _assert_same_decodes(code.h, llrs, max_iters)
+
+
+@pytest.mark.parametrize("ebno", [7.0, 1.0])
+def test_one_sweep_batch_stays_under_two_batch_sized_blocks(c24, ebno):
+    # a batch of 8192 words of 64 bits is one 4 MiB float64 block: the noise
+    # fills it in place, its conversion copies one chunk of POOL_BYTES, and
+    # the decoder's pool holds a few edge-sized buffers of POOL_BYTES each
     import tracemalloc
 
     run_awgn_sweep(c24, [7.0], 16, seed=1, threads=1)  # code dimension, imports
     tracemalloc.start()
     try:
-        run_awgn_sweep(c24, [7.0], 8192, seed=2026, threads=1, batch_size=8192)
+        run_awgn_sweep(c24, [ebno], 8192, seed=2026, threads=1, batch_size=8192)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8192 * c24.length * 8
+    assert peak < 2 * 8192 * c24.length * 8
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from symldpc import (
     run_awgn_sweep,
     run_bec_sweep,
 )
+from symldpc.decode import POOL_BYTES
 from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
 from symldpc.sim import _MASK64, _uniforms, _words_per_trial
@@ -32,6 +33,19 @@ def reference_uniforms(seed, cell, start_word, nwords):
     bg.advance(start_word // 4)
     raw = bg.random_raw(nwords)
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+# the conversion runs in chunks of POOL_BYTES: counts just below, at and past
+# one chunk, and over several, from the stream's start and from a later block
+@pytest.mark.parametrize("start_word", [0, 4 * 1237])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_uniforms_equal_the_oracle_across_conversion_chunks(chunks, extra, start_word):
+    nwords = chunks * (POOL_BYTES // 8) + extra
+    got = _uniforms(2026, 5, start_word, nwords)
+    want = reference_uniforms(2026, 5, start_word, nwords)
+    assert got.dtype == np.float64 and got.shape == (nwords,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def reference_standard_normals(u, n):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -71,3 +73,33 @@ def test_package_all_lists_exactly_its_imports():
     assert sorted(exported) == sorted(imported)
     missing = [name for name in exported if not hasattr(symldpc, name)]
     assert not missing, "names in __all__ that do not resolve: " + ", ".join(missing)
+
+
+def _module_constants() -> dict:
+    """NAME -> value of every upper-case name a src module assigns at top level."""
+    constants = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "symldpc" if path.stem == "__init__" else f"symldpc.{path.stem}"
+        module = importlib.import_module(name)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    assert target.id not in constants, f"{target.id} is assigned in two modules"
+                    constants[target.id] = getattr(module, target.id)
+    return constants
+
+
+def test_readme_quotes_constants_at_their_values():
+    # a constant the README quotes as `NAME` (value) must still have that value,
+    # so retuning one cannot leave the README behind
+    readme = (SRC.parents[1] / "README.md").read_text()
+    quoted = re.findall(r"`([A-Z][A-Z0-9_]*)`\s+\(([^)]*)\)", readme)
+    assert {"LANES", "POOL_BYTES", "ERASED"} <= {name for name, _ in quoted}
+    constants = _module_constants()
+    for name, value in quoted:
+        number = re.fullmatch(r"(-?\d+)( KiB)?", value)
+        assert number, f"README quotes {name} as {value!r}, not as a number"
+        assert name in constants, f"README quotes {name}, which no module defines"
+        scale = 1024 if number[2] else 1
+        assert constants[name] == int(number[1]) * scale, f"README quotes {name} ({value})"
