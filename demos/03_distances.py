@@ -1,8 +1,9 @@
 """Minimum and stopping distances: exact searches against explicit witnesses.
 
-Small instances are settled by full codeword enumeration and
-branch-and-bound; the transpose family is settled at every size because
-its 2q dependent lines meet the girth-8 lower bound exactly.
+Small instances are settled by full codeword enumeration and by one
+branch and bound for codeword supports and stopping sets; the transpose
+family is settled at every size because its 2q dependent lines meet the
+girth-8 lower bound exactly.
 """
 
 import symldpc as s
@@ -13,8 +14,7 @@ for family, n, q, stop_budget in [
     ("symmetric_transpose", 2, 2, None),
     ("symmetric", 2, 3, None),
     ("symmetric_transpose", 2, 3, None),
-    # budget 16 settles C(2,4) at s = 16 but takes about 30 s; 8 stays fast
-    ("symmetric", 2, 4, 8),
+    ("symmetric", 2, 4, 16),
 ]:
     code = s.make_code(family, n, q)
     d = s.min_distance(code.h)
@@ -23,6 +23,12 @@ for family, n, q, stop_budget in [
     print(f"  {code.code_id}: [{code.length},{code.dimension}] "
           f"d={d.value} ({d.method}), {s_text}, "
           f"girth bound {s.tanner_lower_bound(8, len(code.h.col_support[0]))}")
+
+# the support search also finds the 2q lines, within a budget of 2q
+code = s.make_code(s.FAMILY_TRANSPOSE, 2, 5)
+d = s.min_distance(code.h, budget=10)
+print(f"  CT(2,5): support search d={d.value} ({d.status}), certified "
+      f"d = {s.certified_min_distance(code).value}")
 
 print("\nwitness regime (no search needed):")
 for q in (2, 3, 4, 5):

@@ -194,7 +194,8 @@ def _run_check(check: str, code: codes.CodeSpec, budget: int | None) -> dict:
         return {"status": "ok", "value": code.length - code.dimension, "dimension": code.dimension}
     if check == "mindist":
         res = codes.certified_min_distance(code)
-        return _distance_entry(res or gf2.min_distance(h, budget=6 if budget is None else budget))
+        budgets = {} if budget is None else {"budget": budget}
+        return _distance_entry(res or gf2.min_distance(h, **budgets))
     if check == "stopdist":
         res = codes.certified_stopping_distance(code)
         return _distance_entry(res or gf2.stopping_distance(h, budget=budget))

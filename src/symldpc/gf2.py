@@ -1,41 +1,34 @@
 """Binary linear algebra: rank, null space, minimum and stopping distance.
 
 Matrices come in as SparseBitMatrix.  Every GF(2) computation on them
-(elimination, the null-space basis, codeword enumeration and the support
-search's column syndromes) uses one representation: rows packed 64
-columns per uint64 word, bit j % 64 of word j // 64 standing for column
-j, built straight from the supports.  Rank and null space come from one
-Gauss-Jordan pass over those rows, which yields the unique reduced row
-echelon form.
+(elimination, the null-space basis and codeword enumeration) uses one
+representation: rows packed 64 columns per uint64 word, bit j % 64 of
+word j // 64 standing for column j, built straight from the supports.
+Rank and null space come from one Gauss-Jordan pass over those rows,
+which yields the unique reduced row echelon form.
 
-The stopping-set search is a branch and bound pruned by counting: a
-partial support with L rows hit once needs at least ceil(L / gamma_max)
-more columns.  Exactness is explicit: DistanceResult.status says whether
-a search exhausted everything below the reported value or only proved a
-lower bound within its budget.
+Above the enumeration cap, codeword supports and stopping sets are found
+by one branch and bound, pruned by counting: a partial support with L
+rows still open needs at least ceil(L / gamma_max) more columns.  A row
+is open while it is hit an odd number of times for a codeword, and
+exactly once for a stopping set.  Exactness is explicit:
+DistanceResult.status says whether a search exhausted everything below
+the reported value or only proved a lower bound within its budget.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .exceptions import (
-    StructureViolationError,
-    TooLargeError,
-    UnsupportedGirthError,
-    check_integer,
-)
+from .exceptions import StructureViolationError, UnsupportedGirthError, check_integer
 from .incidence import SparseBitMatrix
 
 # full codeword enumeration is used when the code dimension is at most this
 ENUM_DIM_CAP = 25
-# the support search refuses a budget whose largest half-subset table exceeds this
-SUPPORT_TABLE_CAP = 1 << 24
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -132,29 +125,20 @@ def null_space_basis(h: SparseBitMatrix) -> np.ndarray:
     return _basis(*_echelon(h), h.ncols)
 
 
-def columns_sum_zero(h: SparseBitMatrix, cols) -> bool:
-    """True when the chosen columns sum to zero over GF(2).
+def _row_hits(h: SparseBitMatrix, cols) -> Counter:
+    """How often each row is hit, counted from the columns' own supports."""
+    return Counter(chain.from_iterable(h.col_support[j] for j in cols))
 
-    Counts, from the columns' own supports, how often each row is hit;
-    the sum is zero when every count is even.
-    """
-    hits = Counter(chain.from_iterable(h.col_support[j] for j in cols))
-    return all(count % 2 == 0 for count in hits.values())
+
+def columns_sum_zero(h: SparseBitMatrix, cols) -> bool:
+    """True when the chosen columns sum to zero over GF(2): every row count is even."""
+    return all(count % 2 == 0 for count in _row_hits(h, cols).values())
 
 
 def is_stopping_set(h: SparseBitMatrix, cols) -> bool:
     """True when every row meets the nonempty column set in 0 or >= 2 positions."""
     sel = set(int(j) for j in cols)
-    if not sel:
-        return False
-    touched_rows = set()
-    for j in sel:
-        touched_rows.update(h.col_support[j])
-    for i in touched_rows:
-        hits = sum(1 for j in h.row_support[i] if j in sel)
-        if hits == 1:
-            return False
-    return True
+    return bool(sel) and 1 not in _row_hits(h, sel).values()
 
 
 def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:
@@ -185,118 +169,105 @@ def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:
     return best_w, best_cw
 
 
-def _extend(cols: np.ndarray, keys: np.ndarray, packed: np.ndarray):
-    """The (k+1)-subset table from the k-subset table.
+def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> DistanceResult:
+    """Smallest nonempty column set of at most budget columns with no open row.
 
-    A table lists every subset as its ascending column indices with its
-    packed syndrome, grouped by ascending last column.  The subsets that
-    column j extends (those ending below j) are therefore a prefix of the
-    k-table, and the (k+1)-table comes out grouped by j in turn.
+    A row is open while the set still needs another of its columns: each
+    hit on a row whose count was below `limit` toggles its open bit.  Limit
+    2 opens the rows hit exactly once (stopping sets); ncols + 1 opens the
+    rows hit an odd number of times (codeword supports).
+
+    Branch and bound: a partial support with an open row can only grow into
+    a wanted set by adding another column of that row, so branching is
+    forced on the lowest open row; a partial support with no open row is
+    already a wanted set.  The search rooted at column j0 adds no column
+    below j0: a set whose smallest column is m is reached inside itself
+    from root m, so the roots together stay exhaustive.  A column meets at
+    most gamma_max rows (h's largest column weight), so L open rows need at
+    least ceil(L / gamma_max) more columns; a branch stops once that count
+    reaches the size bound.  Exact when the search space below the found
+    size is exhausted within the budget; the witness must pass `holds`.
     """
-    last = cols[:, -1] if cols.shape[1] else np.array([-1])
-    counts = np.searchsorted(last, np.arange(packed.shape[0]))
-    total = int(counts.sum())
-    out_cols = np.empty((total, cols.shape[1] + 1), dtype=cols.dtype)
-    out_keys = np.empty((total, keys.shape[1]), dtype=np.uint64)
-    start = 0
-    for j, count in enumerate(counts):
-        stop = start + count
-        out_cols[start:stop, :-1] = cols[:count]
-        out_cols[start:stop, -1] = j
-        np.bitwise_xor(keys[:count], packed[j], out=out_keys[start:stop])
-        start = stop
-    return out_cols, out_keys
+    rows, cols = h.row_support, h.col_support
+    gamma_max = max((len(c) for c in cols), default=0)
+    hits = [0] * h.nrows
+    in_support = [False] * h.ncols
+    support: list[int] = []
+    open_rows = 0  # bit i is set while row i is open
+    bound = budget + 1  # only supports smaller than this are still wanted
+    best: tuple[int, ...] | None = None
+    floor = 0
 
+    def grow(j: int) -> None:
+        nonlocal open_rows, bound, best
+        support.append(j)
+        in_support[j] = True
+        for i in cols[j]:
+            c = hits[i]
+            hits[i] = c + 1
+            if c < limit:
+                open_rows ^= 1 << i
+        if not open_rows:
+            bound = len(support)
+            best = tuple(support)
+        else:
+            row = (open_rows & -open_rows).bit_length() - 1
+            need = -(-open_rows.bit_count() // gamma_max)
+            for k in rows[row]:
+                if len(support) + need >= bound:
+                    break
+                if k >= floor and not in_support[k]:
+                    grow(k)
+        for i in cols[j]:
+            c = hits[i] - 1
+            hits[i] = c
+            if c < limit:
+                open_rows ^= 1 << i
+        in_support[j] = False
+        support.pop()
 
-def _exact_keys(keys: np.ndarray) -> np.ndarray:
-    """One sortable key per subset that is equal exactly when all its words are."""
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
-
-
-def _matching_pair(h, table_a, table_b, sorted_a, sorted_b) -> frozenset[int] | None:
-    """Union of the first disjoint a- and b-subsets with equal keys, checked to sum to zero."""
-    if table_a is table_b:  # a == b: every subset matches itself, so look for repeats
-        shared = sorted_a[1:][sorted_a[1:] == sorted_a[:-1]]
-    else:
-        pos = np.minimum(np.searchsorted(sorted_b, sorted_a), len(sorted_b) - 1)
-        shared = sorted_a[sorted_b[pos] == sorted_a]
-    for key in shared:
-        firsts = table_a[0][_exact_keys(table_a[1]) == key].tolist()
-        seconds = table_b[0][_exact_keys(table_b[1]) == key].tolist()
-        for first in firsts:
-            for second in seconds:
-                if set(first).isdisjoint(second):
-                    witness = frozenset(first + second)
-                    if not columns_sum_zero(h, witness):
-                        raise StructureViolationError(
-                            f"support search witness {sorted(witness)} does not sum to zero"
-                        )
-                    return witness
-    return None
+    for j0 in range(h.ncols):
+        if bound == 1:
+            break
+        floor = j0
+        grow(j0)
+    if best is None:
+        return DistanceResult(
+            value=budget + 1,
+            status=LOWER_BOUND_ONLY,
+            witness=None,
+            method=METHOD_SUPPORT_SEARCH,
+        )
+    if not holds(h, best):
+        raise StructureViolationError(
+            f"branch-and-bound witness {sorted(best)} fails {holds.__name__}"
+        )
+    return DistanceResult(
+        value=len(best),
+        status=EXACT,
+        witness=frozenset(best),
+        method=METHOD_SUPPORT_SEARCH,
+    )
 
 
 def _support_search(h: SparseBitMatrix, budget: int) -> DistanceResult:
-    """Meet-in-the-middle search for the lightest zero-sum column subset.
+    """Lightest nonempty column set summing to zero, of weight at most budget.
 
-    Exhausts weights 1..budget in order; exact when a dependency is found,
-    otherwise a lower bound of budget + 1.  Weight w looks for an a-subset
-    and a b-subset (a = w // 2, b = w - a) with the same packed syndrome.
-    Each subset table's keys are sorted once: the sorted a-keys are looked
-    up in the sorted b-keys, or, when a == b, equal neighbours are taken,
-    since every subset matches itself.  Once no lighter dependency exists,
-    two distinct subsets with equal syndromes are disjoint and their union
-    is a dependency of weight w.
+    Exact when one is found, since every lighter set was exhausted first;
+    otherwise a lower bound of budget + 1.
     """
     budget = check_integer("budget", budget, 1)
-    half = budget - budget // 2
-    largest = max(math.comb(h.ncols, k) for k in range(min(half, h.ncols) + 1))
-    if largest > SUPPORT_TABLE_CAP:
-        raise TooLargeError(
-            f"support search to weight {budget} needs {largest} subsets of "
-            f"{h.ncols} columns in one table, exceeding cap {SUPPORT_TABLE_CAP}"
-        )
-    packed = _pack(h.nrows, h.col_support)
-    tables = [
-        (np.zeros((1, 0), dtype=np.min_scalar_type(h.ncols)),
-         np.zeros((1, packed.shape[1]), dtype=np.uint64))
-    ]
-    sorted_keys: dict[int, np.ndarray] = {}
-    for w in range(1, budget + 1):
-        a, b = w // 2, w - w // 2
-        if len(tables) == b:
-            tables.append(_extend(*tables[-1], packed))
-        if not len(tables[b][0]):
-            break  # b > ncols: no subsets at this weight or any heavier one
-        for k in (a, b):
-            if k not in sorted_keys:
-                sorted_keys[k] = np.sort(_exact_keys(tables[k][1]))
-        witness = _matching_pair(h, tables[a], tables[b], sorted_keys[a], sorted_keys[b])
-        if witness is not None:
-            return DistanceResult(
-                value=w, status=EXACT, witness=witness, method=METHOD_SUPPORT_SEARCH
-            )
-        if a < b:
-            # heavier weights pair only the tables from b up
-            tables[a] = None
-            del sorted_keys[a]
-    return DistanceResult(
-        value=budget + 1,
-        status=LOWER_BOUND_ONLY,
-        witness=None,
-        method=METHOD_SUPPORT_SEARCH,
-    )
+    return _smallest_support(h, budget, h.ncols + 1, columns_sum_zero)
 
 
 def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
     """Exact minimum distance when feasible, else a budgeted support search.
 
     With code dimension <= ENUM_DIM_CAP every nonzero codeword is
-    enumerated from a null-space basis (always exact).  Above the cap, all
-    column subsets of weight up to `budget` are tested for a GF(2)
-    dependency; a hit at weight w is exact because all smaller weights
-    were exhausted first.
+    enumerated from a null-space basis (always exact).  Above the cap, the
+    branch and bound of `_smallest_support` looks for the lightest
+    codeword support of weight up to `budget`; a hit at weight w is exact
+    because all smaller weights were exhausted first.
     """
     budget = check_integer("budget", budget, 1)
     echelon, pivots = _echelon(h)
@@ -321,17 +292,8 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
 def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> DistanceResult:
     """Smallest nonempty column set meeting every row in 0 or >= 2 positions.
 
-    Branch and bound: a partial support with a "lonely" row (exactly one
-    hit) can only grow into a stopping set by adding another column of
-    that row, so branching is forced on the lowest lonely row; a partial
-    support with no lonely rows already is a stopping set.  The search
-    rooted at column j0 adds no column below j0: a stopping set whose
-    smallest column is m is reached inside itself from root m, so the
-    roots together stay exhaustive.  A column meets at most gamma_max
-    rows (h's largest column weight), so L lonely rows need at least
-    ceil(L / gamma_max) more columns; a branch stops once that count
-    reaches the size bound.  Exact when the search space below the found
-    size is exhausted within the budget.
+    The branch and bound of `_smallest_support` with the rows hit exactly
+    once open; without a budget it searches up to every column.
     """
     if budget is not None:
         budget = check_integer("budget", budget, 1)
@@ -340,66 +302,7 @@ def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> Distance
         return DistanceResult(
             value=1, status=EXACT, witness=None, method=METHOD_SUPPORT_SEARCH
         )
-    if budget is None:
-        budget = h.ncols
-    rows, cols = h.row_support, h.col_support
-    gamma_max = max(len(c) for c in cols)
-    hits = [0] * h.nrows
-    in_support = [False] * h.ncols
-    support: list[int] = []
-    lonely = 0  # bit i is set while row i has exactly one hit
-    bound = budget + 1  # only supports smaller than this are still wanted
-    best: tuple[int, ...] | None = None
-    floor = 0
-
-    def grow(j: int) -> None:
-        nonlocal lonely, bound, best
-        support.append(j)
-        in_support[j] = True
-        for i in cols[j]:
-            c = hits[i]
-            hits[i] = c + 1
-            if c < 2:
-                lonely ^= 1 << i
-        if not lonely:
-            bound = len(support)
-            best = tuple(support)
-        else:
-            row = (lonely & -lonely).bit_length() - 1
-            need = -(-lonely.bit_count() // gamma_max)
-            for k in rows[row]:
-                if len(support) + need >= bound:
-                    break
-                if k >= floor and not in_support[k]:
-                    grow(k)
-        for i in cols[j]:
-            c = hits[i] - 1
-            hits[i] = c
-            if c < 2:
-                lonely ^= 1 << i
-        in_support[j] = False
-        support.pop()
-
-    for j0 in range(h.ncols):
-        if bound == 1:
-            break
-        floor = j0
-        grow(j0)
-    if best is None:
-        return DistanceResult(
-            value=budget + 1,
-            status=LOWER_BOUND_ONLY,
-            witness=None,
-            method=METHOD_SUPPORT_SEARCH,
-        )
-    if not is_stopping_set(h, best):
-        raise StructureViolationError("branch-and-bound result is not a stopping set")
-    return DistanceResult(
-        value=len(best),
-        status=EXACT,
-        witness=frozenset(best),
-        method=METHOD_SUPPORT_SEARCH,
-    )
+    return _smallest_support(h, h.ncols if budget is None else budget, 2, is_stopping_set)
 
 
 def tanner_lower_bound(girth_value: int, col_weight: int) -> int:

@@ -126,18 +126,22 @@ def _standard_normals(u: np.ndarray, n: int) -> np.ndarray:
 
     The pairs are written back into u: column 2i gets r cos(theta) and column
     2i + 1 gets r sin(theta), where r = sqrt(-2 log u[:, 2i]) and theta =
-    2 pi u[:, 2i + 1].
+    2 pi u[:, 2i + 1].  The transform runs over row chunks of about
+    POOL_BYTES, so its temporaries (sin, and the copy numpy makes of theta
+    where it interleaves with r) stay chunk-sized.
     """
-    r, theta = u[:, 0::2], u[:, 1::2]
-    np.log(r, out=r)
-    np.multiply(-2.0, r, out=r)
-    np.sqrt(r, out=r)
-    np.multiply(2.0 * np.pi, theta, out=theta)
-    sin = np.sin(theta)
-    np.multiply(r, sin, out=sin)
-    np.cos(theta, out=theta)
-    np.multiply(r, theta, out=r)
-    theta[...] = sin
+    rows = max(1, POOL_BYTES // (u.shape[1] * u.itemsize))
+    for lo in range(0, len(u), rows):
+        r, theta = u[lo : lo + rows, 0::2], u[lo : lo + rows, 1::2]
+        np.log(r, out=r)
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(2.0 * np.pi, theta, out=theta)
+        sin = np.sin(theta)
+        np.multiply(r, sin, out=sin)
+        np.cos(theta, out=theta)
+        np.multiply(r, theta, out=r)
+        theta[...] = sin
     return u[:, :n]
 
 

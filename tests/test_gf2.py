@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from symldpc import (
     FAMILY_SYMMETRIC,
+    FAMILY_TRANSPOSE,
     SparseBitMatrix,
     build_h,
+    certified_min_distance,
     code_dimension,
     columns_sum_zero,
     is_stopping_set,
@@ -24,11 +26,9 @@ from symldpc import (
     sym_space,
     tanner_lower_bound,
 )
-from symldpc import gf2
 from symldpc.exceptions import (
     BadParametersError,
     StructureViolationError,
-    TooLargeError,
     UnsupportedGirthError,
 )
 from symldpc.gf2 import (
@@ -346,6 +346,9 @@ def test_distances_without_columns_report_the_sentinel(nrows):
     h = SparseBitMatrix.from_rows(nrows, 0, [()] * nrows)
     for res in (min_distance(h), stopping_distance(h), stopping_distance(h, budget=4)):
         assert (res.value, res.status, res.witness) == (1, "exact", None)
+    # the support search on its own only exhausts its budget
+    res = _support_search(h, budget=4)
+    assert (res.value, res.status, res.witness) == (5, "lower_bound_only", None)
 
 
 def test_stopping_at_most_min_distance(ct22, ct23, c22):
@@ -509,6 +512,8 @@ def _small_matrices(draw):
 @given(_small_matrices(), st.integers(1, 9))
 @settings(max_examples=300, deadline=None)
 @example(_matrix_from_dense(np.eye(5, dtype=int)), 6)  # full rank: budget exhausted
+# the three columns form a stopping set (row 0 is hit three times) but no codeword
+@example(_matrix_from_dense([[1, 1, 1], [1, 1, 0], [0, 1, 1], [1, 0, 1]]), 3)
 def test_support_search_matches_oracle(h, budget):
     _assert_support_search_matches_oracle(h, budget)
 
@@ -554,6 +559,21 @@ def test_searches_match_oracles_on_geometry_codes(name, request):
     _assert_stopping_distance_matches_oracle(h, 8)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_support_search_meets_the_transpose_certificate(q):
+    # the 2q dependent lines of CT(2,q) are found by search, not only certified
+    code = make_code(FAMILY_TRANSPOSE, 2, q)
+    res = _support_search(code.h, budget=2 * q)
+    assert (res.value, res.status) == (2 * q, "exact")
+    assert res.value == certified_min_distance(code).value
+    assert columns_sum_zero(code.h, res.witness)
+
+
+def test_min_distance_of_ct28_at_the_default_budget():
+    d = min_distance(make_code(FAMILY_TRANSPOSE, 2, 8).h)
+    assert (d.value, d.status, d.method) == (7, "lower_bound_only", "support_search")
+
+
 def test_ct24_distances_exact_at_budget_eight(ct24):
     d = min_distance(ct24.h, budget=8)
     assert (d.value, d.status, d.method) == (8, "exact", "support_search")
@@ -576,15 +596,6 @@ def test_searches_reject_budget_below_one(ct22, budget):
 def test_searches_reject_budgets_that_are_not_integers(ct22, search, budget):
     with pytest.raises(BadParametersError, match="budget must be an integer >= 1"):
         search(ct22.h, budget=budget)
-
-
-def test_support_search_refuses_tables_past_cap(ct22, monkeypatch):
-    # CT(2,2) has 12 columns; budget 6 builds C(12, 3) = 220 3-subsets
-    monkeypatch.setattr(gf2, "SUPPORT_TABLE_CAP", 219)
-    with pytest.raises(TooLargeError, match="220"):
-        _support_search(ct22.h, budget=6)
-    monkeypatch.setattr(gf2, "SUPPORT_TABLE_CAP", 220)
-    assert _support_search(ct22.h, budget=6).value == 4
 
 
 def test_support_search_rejects_wrong_witness_under_optimize():

@@ -14,7 +14,7 @@ from symldpc import (
 from symldpc.decode import POOL_BYTES
 from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
-from symldpc.sim import _MASK64, _uniforms, _words_per_trial
+from symldpc.sim import _MASK64, _standard_normals, _uniforms, _words_per_trial
 
 
 def test_uniform_stream_is_counter_addressable():
@@ -55,6 +55,19 @@ def reference_standard_normals(u, n):
     z[:, 0::2] = r * np.cos(theta)
     z[:, 1::2] = r * np.sin(theta)
     return z[:, :n]
+
+
+# the transform runs over row chunks of about POOL_BYTES: row counts just
+# below, at and past one chunk, and over several
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("width", [12, 64, 80])
+def test_standard_normals_equal_the_oracle_across_row_chunks(width, chunks, extra):
+    rows = chunks * (POOL_BYTES // (8 * width)) + extra
+    u = _uniforms(2026, 5, 0, rows * width).reshape(rows, width)
+    want = reference_standard_normals(u.copy(), width - 1)
+    got = _standard_normals(u, width - 1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def reference_llrs(seed, cell, start_word, batch, n, sigma):
