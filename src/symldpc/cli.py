@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import codes, gf2, sim
 from .exceptions import BadParametersError, StructureViolationError, SymLdpcError
-from .incidence import SparseBitMatrix, diameter, girth, verify_structure
+from .incidence import SparseBitMatrix, diameter, girth, translation_roots, verify_structure
 
 
 # -- alist ----------------------------------------------------------------
@@ -186,10 +186,9 @@ def _run_check(check: str, code: codes.CodeSpec, budget: int | None) -> dict:
         except StructureViolationError as exc:
             return {"status": "fail", "detail": str(exc)}
         return {"status": "pass", "rho": rep.rho, "gamma": rep.gamma, "lambda_max": rep.lambda_max}
-    if check == "girth":
-        return {"status": "ok", "value": _jsonable(girth(h))}
-    if check == "diameter":
-        return {"status": "ok", "value": _jsonable(diameter(h))}
+    if check in ("girth", "diameter"):
+        value = (girth if check == "girth" else diameter)(h)
+        return {"status": "ok", "value": _jsonable(value), "roots": len(translation_roots(h))}
     if check == "rank":
         return {"status": "ok", "value": code.length - code.dimension, "dimension": code.dimension}
     if check == "mindist":

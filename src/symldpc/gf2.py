@@ -5,7 +5,8 @@ Matrices come in as SparseBitMatrix.  Every GF(2) computation on them
 representation: rows packed 64 columns per uint64 word, bit j % 64 of
 word j // 64 standing for column j, built straight from the supports.
 Rank and null space come from one Gauss-Jordan pass over those rows,
-which yields the unique reduced row echelon form.
+which yields the unique reduced row echelon form; it runs once per
+matrix instance.
 
 Above the enumeration cap, codeword supports and stopping sets are found
 by one branch and bound, pruned by counting: a partial support with L
@@ -29,6 +30,8 @@ from .incidence import SparseBitMatrix
 
 # full codeword enumeration is used when the code dimension is at most this
 ENUM_DIM_CAP = 25
+# codeword enumeration holds a table of 2^ENUM_TABLE_BITS basis combinations
+ENUM_TABLE_BITS = 12
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -98,9 +101,24 @@ def _echelon(h: SparseBitMatrix) -> tuple[np.ndarray, list[int]]:
     return mat[pivot_rows], pivots
 
 
+def _reduced(h: SparseBitMatrix) -> tuple[np.ndarray, tuple[int, ...]]:
+    """`_echelon(h)`, computed once per matrix instance and kept read-only.
+
+    Rank, dimension, null space and minimum distance of one matrix then
+    share one elimination.
+    """
+
+    def compute():
+        mat, pivots = _echelon(h)
+        mat.flags.writeable = False
+        return mat, tuple(pivots)
+
+    return h._cached("echelon", compute)
+
+
 def rank_gf2(h: SparseBitMatrix) -> int:
     """Rank over GF(2)."""
-    return len(_echelon(h)[1])
+    return len(_reduced(h)[1])
 
 
 def code_dimension(h: SparseBitMatrix) -> int:
@@ -122,7 +140,7 @@ def null_space_basis(h: SparseBitMatrix) -> np.ndarray:
     Row t is the null vector that is 1 at the t-th free (non-pivot) column
     and 0 at every other free column, so the basis is canonical.
     """
-    return _basis(*_echelon(h), h.ncols)
+    return _basis(*_reduced(h), h.ncols)
 
 
 def _row_hits(h: SparseBitMatrix, cols) -> Counter:
@@ -144,26 +162,31 @@ def is_stopping_set(h: SparseBitMatrix, cols) -> bool:
 def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:
     """(min weight, argmin codeword) over the nonzero codewords of a packed basis.
 
-    A table of all 2^L combinations of the first L = min(k, 16) basis
-    vectors, built by doubling, is XORed with each combination of the
-    other vectors in Gray order, and np.bitwise_count gives the weights.
+    A table of all 2^L combinations of the first L = min(k, ENUM_TABLE_BITS)
+    basis vectors, filled by doubling in place, is XORed into one reused
+    buffer with each combination of the other vectors in Gray order, and
+    np.bitwise_count gives the weights.  Only the best word is copied out.
     """
-    low = min(len(basis), 16)
-    table = np.zeros((1, basis.shape[1]), dtype=np.uint64)
-    for v in basis[:low]:
-        table = np.concatenate([table, table ^ v])
+    low = min(len(basis), ENUM_TABLE_BITS)
+    table = np.zeros((1 << low, basis.shape[1]), dtype=np.uint64)
+    for i, v in enumerate(basis[:low]):
+        np.bitwise_xor(table[: 1 << i], v, out=table[1 << i : 2 << i])
+    words = np.empty_like(table)
+    counts = np.empty(table.shape, dtype=np.uint8)
+    weights = np.empty(len(table), dtype=np.uint64)
     above_any = 64 * basis.shape[1] + 1
     best_w, best_cw = above_any, None
     offset = np.zeros(basis.shape[1], dtype=np.uint64)
     for t in range(1 << (len(basis) - low)):
         if t:
             offset ^= basis[low + (t & -t).bit_length() - 1]
-        words = table ^ offset
-        weights = np.bitwise_count(words).sum(axis=1)
+        np.bitwise_xor(table, offset, out=words)
+        np.bitwise_count(words, out=counts)
+        counts.sum(axis=1, out=weights)
         weights[weights == 0] = above_any
         i = int(weights.argmin())
         if weights[i] < best_w:
-            best_w, best_cw = int(weights[i]), words[i]
+            best_w, best_cw = int(weights[i]), words[i].copy()
     if best_cw is None:
         raise StructureViolationError("null-space basis spans no nonzero codeword")
     return best_w, best_cw
@@ -270,7 +293,7 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
     because all smaller weights were exhausted first.
     """
     budget = check_integer("budget", budget, 1)
-    echelon, pivots = _echelon(h)
+    echelon, pivots = _reduced(h)
     k = h.ncols - len(pivots)
     if k == 0:
         # only the zero codeword; report the conventional n + 1 sentinel

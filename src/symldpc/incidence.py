@@ -6,6 +6,18 @@ space; entry (i, j) is 1 exactly when line i contains point j.  The same
 matrix doubles as the bipartite adjacency structure used for girth and
 diameter computations, and as the parity-check matrix of the two code
 families built in `codes`.
+
+A line is a coset {S + xD}, so each translation X -> X + T of S_n(F_q)
+maps lines onto lines and is an automorphism of the Tanner graph of
+H(n,q) and of its transpose.  The translations act transitively on the
+points, and the lines fall into one orbit per direction D.  An
+automorphism keeps a vertex's eccentricity and the length of the
+shortest cycle through it, and maps a pair of rows sharing two columns
+to another such pair.  So girth, diameter and the pair-overlap check
+need only one vertex per orbit.  `translation_roots` reads the
+generating translations off h's shape, q^N points, and checks each on h
+itself: a matrix that fails the check gets the trivial group, whose
+orbits are single vertices, so every vertex is a root.
 """
 
 from __future__ import annotations
@@ -15,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import StructureViolationError, TooLargeError
+from .exceptions import BadParametersError, StructureViolationError, TooLargeError
+from .gf import factor_prime_power
 from .symspace import SymSpace
 
 # build_h refuses instances with more incidences than this
@@ -60,12 +73,17 @@ class SparseBitMatrix:
         )
 
     def transpose(self) -> "SparseBitMatrix":
-        return SparseBitMatrix(
-            nrows=self.ncols,
-            ncols=self.nrows,
-            row_support=self.col_support,
-            col_support=self.row_support,
-        )
+        """The transpose: one instance per matrix, so its cached results are shared."""
+
+        def build():
+            return SparseBitMatrix(
+                nrows=self.ncols,
+                ncols=self.nrows,
+                row_support=self.col_support,
+                col_support=self.row_support,
+            )
+
+        return self._cached("transpose", build)
 
     @property
     def edge_count(self) -> int:
@@ -78,21 +96,27 @@ class SparseBitMatrix:
         return out
 
     @cached_property
-    def _tanner_bfs(self):
-        """(girth, diameter) of the Tanner graph, computed once per instance.
+    def _derived(self) -> dict:
+        return {}
 
-        Cached on the instance, not by value: it is not a field, so equality
-        and hashing ignore it, and an equal matrix built elsewhere runs its
-        own BFS.
+    def _cached(self, key, compute):
+        """compute(), run once per matrix instance and key.
+
+        Cached on the instance, not by value: the store is not a field, so
+        equality and hashing ignore it, and an equal matrix built elsewhere
+        computes its own.
         """
-        return _all_roots_bfs(self)
+        derived = self._derived
+        if key not in derived:
+            derived[key] = compute()
+        return derived[key]
 
     @cached_property
     def _row_masks(self) -> tuple[int, ...]:
         """Each row's support as an int with bit j set for column j.
 
-        Built on first use and cached on the instance like _tanner_bfs, so
-        equality and hashing ignore it.
+        Built on first use and cached on the instance like _cached results,
+        so equality and hashing ignore it.
         """
         return tuple(sum(1 << j for j in row) for row in self.row_support)
 
@@ -127,8 +151,12 @@ def build_h(space: SymSpace) -> SparseBitMatrix:
 def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
     """Check row weight q, column weight (q^n-1)/(q-1), and pairwise overlap <= 1.
 
-    Raises StructureViolationError naming the first failing row, column, or
-    pair.  Returns a report with the observed weights and sparsity ratios.
+    h is taken lines by points.  The weight checks scan every row and
+    column; the overlap check scans only the rows among `translation_roots`,
+    one per orbit, since a translation maps two rows sharing two columns to
+    two rows that share two columns.  Raises StructureViolationError naming
+    the first failing row, column, or pair.  Returns a report with the
+    observed weights and sparsity ratios.
     """
     gamma = (q**n - 1) // (q - 1)
     for i, row in enumerate(h.row_support):
@@ -139,21 +167,25 @@ def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
             raise StructureViolationError(
                 f"column {j} has weight {len(col)}, expected {gamma}"
             )
-    # two rows sharing two columns show up as a row pair repeated across
-    # columns; a repeated column pair is the same 4-cycle, so this one pass
-    # also catches two columns sharing two rows
-    seen_row_pairs: set[tuple[int, int]] = set()
-    for j, col in enumerate(h.col_support):
-        for a in range(len(col)):
-            for b in range(a + 1, len(col)):
-                pair = (col[a], col[b])
-                if pair in seen_row_pairs:
+    # two rows sharing two columns close a 4-cycle, which is also two
+    # columns sharing two rows, so the row pairs cover both
+    lambda_max = 0
+    for r in translation_roots(h):
+        if r >= h.nrows:
+            break
+        met: dict[int, int] = {}
+        for j in h.row_support[r]:
+            for i in h.col_support[j]:
+                if i == r:
+                    continue
+                if i in met:
+                    a, b = sorted((r, i))
                     raise StructureViolationError(
-                        f"rows {pair[0]} and {pair[1]} share more than one column "
+                        f"rows {a} and {b} share more than one column "
                         f"(second overlap at column {j})"
                     )
-                seen_row_pairs.add(pair)
-    lambda_max = 1 if seen_row_pairs else 0
+                met[i] = j
+                lambda_max = 1
     return StructureReport(
         nrows=h.nrows,
         ncols=h.ncols,
@@ -166,31 +198,116 @@ def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
     )
 
 
-def _all_roots_bfs(h: SparseBitMatrix):
-    """Girth and diameter of the Tanner graph of h, from one BFS of every root.
+def translation_roots(h: SparseBitMatrix) -> tuple[int, ...]:
+    """One Tanner-graph vertex per orbit of the translations that fix h.
+
+    Vertices are numbered rows first, then nrows + column, and each orbit
+    is represented by its smallest vertex, so the tuple is ascending.  h
+    is tried lines by points, then transposed: a side with c >= 2 columns,
+    c = p^d, proposes the d translations of S_n(F_q) by one basis element
+    of GF(p^m) at one upper-triangular entry (d = m * n(n+1)/2, and a prime
+    power factors one way only), and each is checked on h.  When no side
+    passes, the group is trivial and every vertex is a root.  Computed
+    once per matrix instance.
+    """
+    return h._cached("roots", lambda: _translation_roots(h))
+
+
+def _translation_roots(h: SparseBitMatrix) -> tuple[int, ...]:
+    for lines, transposed in ((h, False), (h.transpose(), True)):
+        try:
+            p, digits = factor_prime_power(lines.ncols)
+        except BadParametersError:
+            continue
+        orbits = lines._cached("orbits", lambda: _line_point_orbits(lines, p, digits))
+        if orbits is None:
+            continue
+        rows, cols = orbits[::-1] if transposed else orbits
+        return tuple(rows) + tuple(h.nrows + j for j in cols)
+    return tuple(range(h.nrows + h.ncols))
+
+
+def _line_point_orbits(h: SparseBitMatrix, p: int, digits: int):
+    """(row orbit minima, column orbit minima) of the translations, or None.
+
+    h is lines by points.  Generator t adds 1 mod p to base-p digit t of
+    every point index: the translation by one basis element of GF(p^m) at
+    one upper-triangular entry.  It must map h's set of rows onto itself:
+    each translated row is matched to a row by its first two points, then
+    compared entry by entry, and no two rows may map to the same row.
+    None when a generator fails.
+    """
+    rows = h.row_support
+    weight = len(rows[0]) if rows else 0
+    if weight < 2 or any(len(r) != weight for r in rows):
+        return None
+    support = np.array(rows, dtype=np.int64)
+    keys = support[:, 0] * h.ncols + support[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    point = np.arange(h.ncols)
+    row_maps, point_maps = [], []
+    for t in range(digits):
+        step = p**t
+        moved = point + np.where(point // step % p == p - 1, (1 - p) * step, step)
+        image = np.sort(moved[support], axis=1)
+        found = np.searchsorted(keys, image[:, 0] * h.ncols + image[:, 1])
+        row_map = order[np.minimum(found, len(keys) - 1)]
+        if not np.array_equal(support[row_map], image):
+            return None
+        if len(np.unique(row_map)) != len(row_map):
+            return None
+        row_maps.append(row_map)
+        point_maps.append(moved)
+    return _orbit_minima(row_maps, h.nrows), _orbit_minima(point_maps, h.ncols)
+
+
+def _orbit_minima(maps, size: int) -> list[int]:
+    """Smallest element of each orbit of the group the permutations generate.
+
+    Min-label propagation: each element takes the smallest label among
+    itself and its images, then the label of its label, until nothing
+    changes.  A label always lies in its element's orbit, and at the fixed
+    point it is the same along every generator, so constant on each orbit.
+    """
+    label = np.arange(size)
+    while True:
+        merged = label.copy()
+        for image in maps:
+            np.minimum(merged, merged[image], out=merged)
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            return np.flatnonzero(label == np.arange(size)).tolist()
+        label = merged
+
+
+def _rooted_bfs(h: SparseBitMatrix, roots):
+    """Girth and diameter of the Tanner graph of h, from a BFS of each root.
 
     Vertices are the rows 0..nrows-1, then the columns.  Roots run in
     blocks of ROOT_BLOCK; each vertex keeps an int bitset of the block's
     roots that have reached it, so one pass over the adjacency per depth
     advances every root of the block at once.  A vertex that receives the
     same new root from two frontier neighbours at depth d closes a cycle
-    of length 2d through that root.  The graph is bipartite, so no edge
-    joins a layer to itself, and the first such depth over all roots is
-    the exact girth.  The last depth that adds any bit is the largest
-    eccentricity; a root that misses a vertex makes the diameter infinite.
+    of length 2d; the graph is bipartite, so no edge joins a layer to
+    itself, and a root on a shortest cycle finds its length first.  The
+    last depth that adds any bit is the root's eccentricity; a root that
+    misses a vertex makes the diameter infinite.  The minimum and maximum
+    over the roots are the girth and diameter when the roots meet every
+    orbit of an automorphism group, as `translation_roots` do.
     """
-    nverts = h.nrows + h.ncols
-    if nverts > VERTEX_CAP:
-        raise TooLargeError(f"{nverts} vertices exceeds BFS cap {VERTEX_CAP}")
     adj = [tuple(h.nrows + j for j in row) for row in h.row_support]
     adj.extend(h.col_support)
+    nverts = len(adj)
     best_girth = INFINITE
     worst = 0
-    for first in range(0, nverts, ROOT_BLOCK):
-        width = min(ROOT_BLOCK, nverts - first)
+    for first in range(0, len(roots), ROOT_BLOCK):
+        block = roots[first : first + ROOT_BLOCK]
         frontier = [0] * nverts
-        for k in range(width):
-            frontier[first + k] = 1 << k
+        for k, root in enumerate(block):
+            frontier[root] = 1 << k
         seen = frontier[:]
         depth = 0
         while True:
@@ -211,28 +328,44 @@ def _all_roots_bfs(h: SparseBitMatrix):
                 break
             frontier = nxt
             depth += 1
-        full = (1 << width) - 1
+        full = (1 << len(block)) - 1
         worst = max(worst, depth if all(s == full for s in seen) else INFINITE)
     return best_girth, worst
 
 
+def _tanner(h: SparseBitMatrix):
+    """(girth, diameter) of the Tanner graph of h, once per matrix instance."""
+
+    def compute():
+        nverts = h.nrows + h.ncols
+        if nverts > VERTEX_CAP:
+            raise TooLargeError(f"{nverts} vertices exceeds BFS cap {VERTEX_CAP}")
+        return _rooted_bfs(h, translation_roots(h))
+
+    return h._cached("tanner", compute)
+
+
 def girth(h: SparseBitMatrix):
-    """Length of the shortest cycle in the Tanner graph of h; infinity for forests."""
-    return h._tanner_bfs[0]
+    """Length of the shortest cycle in the Tanner graph of h; infinity for forests.
+
+    The BFS runs from `translation_roots(h)` only.
+    """
+    return _tanner(h)[0]
 
 
 def diameter(h: SparseBitMatrix):
-    """Maximum eccentricity in the Tanner graph of h; infinity when disconnected."""
-    return h._tanner_bfs[1]
+    """Maximum eccentricity in the Tanner graph of h; infinity when disconnected.
+
+    The BFS runs from `translation_roots(h)` only.
+    """
+    return _tanner(h)[1]
 
 
 def point_graph_components(space: SymSpace) -> int:
-    """Number of connected components of the rank-1 adjacency graph on points."""
-    seen: set[int] = set()
-    components = 0
-    for start in range(space.size):
-        if start not in seen:
-            components += 1
-            for layer in space.distance_layers(space.point_at(start)):
-                seen.update(layer)
-    return components
+    """Number of connected components of the rank-1 adjacency graph on points.
+
+    Translations keep the rank of a difference, so they map components onto
+    components, and they act transitively on the points: every component
+    is a translate of the component of 0.
+    """
+    return space.size // sum(len(layer) for layer in space.distance_layers(space.zero()))

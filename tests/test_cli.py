@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symldpc import build_h, codes, decode, incidence, rank_gf2, sim, sym_space
+from symldpc import build_h, codes, decode, gf2, incidence, rank_gf2, sim, sym_space
 from symldpc.cli import main, read_alist, write_alist
 from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
@@ -209,12 +209,77 @@ def test_analyze_runs_one_tanner_bfs(tmp_path, capsys, monkeypatch):
     main(["build", "--n", "2", "--q", "3", "--family", "symmetric", "--out", str(out)])
     capsys.readouterr()
     calls = []
-    bfs = incidence._all_roots_bfs
-    monkeypatch.setattr(incidence, "_all_roots_bfs", lambda h: calls.append(h) or bfs(h))
+    bfs = incidence._rooted_bfs
+    monkeypatch.setattr(incidence, "_rooted_bfs", lambda h, roots: calls.append(h) or bfs(h, roots))
     rc = main(["analyze", "--infile", str(out), "--checks", "girth,diameter"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert (report["girth"]["value"], report["diameter"]["value"]) == (8, 6)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "family, flags",
+    [
+        ("symmetric", []),
+        ("symmetric_transpose", []),
+        # the roots come from H alone, whatever n and q say
+        ("symmetric", ["--n", "3"]),
+        ("symmetric", ["--q", "2"]),
+    ],
+)
+def test_analyze_reports_the_bfs_roots(tmp_path, capsys, family, flags):
+    out = tmp_path / "h23.alist"
+    main(["build", "--n", "2", "--q", "3", "--family", family, "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["analyze", "--infile", str(out), "--checks", "girth,diameter", *flags])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    # 4 line orbits (one per direction) and the points
+    assert report == {
+        "girth": {"status": "ok", "value": 8, "roots": 5},
+        "diameter": {"status": "ok", "value": 6, "roots": 5},
+    }
+
+
+def test_analyze_roots_every_vertex_of_a_gallager_code(tmp_path, capsys):
+    # 12 x 8, the shape of H(2,2): the translations are tried and fail
+    h = codes.gallager_random(8, 3, 2, seed=4).h
+    path = tmp_path / "g.alist"
+    write_alist(h, path)
+    rc = main(["analyze", "--infile", str(path), "--checks", "girth,diameter"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["girth"]["roots"] == report["diameter"]["roots"] == 20
+    assert report["girth"]["value"] == incidence.girth(h)
+
+
+@pytest.mark.parametrize("family", ["symmetric", "symmetric_transpose"])
+def test_analyze_checks_the_translations_once(tmp_path, capsys, monkeypatch, family):
+    # structure takes H lines by points, girth and diameter take H as it is;
+    # both orientations share one check
+    out = tmp_path / "h23.alist"
+    main(["build", "--n", "2", "--q", "3", "--family", family, "--out", str(out)])
+    capsys.readouterr()
+    calls = []
+    orbits = incidence._line_point_orbits
+    monkeypatch.setattr(incidence, "_line_point_orbits", lambda *a: calls.append(a) or orbits(*a))
+    rc = main(["analyze", "--infile", str(out), "--checks", "structure,girth,diameter"])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["girth"]["roots"] == 5
+    assert len(calls) == 1
+
+
+def test_rank_and_mindist_share_one_elimination(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "h25.alist"
+    main(["build", "--n", "2", "--q", "5", "--family", "symmetric", "--out", str(out)])
+    capsys.readouterr()
+    calls = []
+    echelon = gf2._echelon
+    monkeypatch.setattr(gf2, "_echelon", lambda h: calls.append(h) or echelon(h))
+    rc = main(["analyze", "--infile", str(out), "--checks", "rank,mindist"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["rank"]["value"] + report["rank"]["dimension"] == 125
     assert len(calls) == 1
 
 

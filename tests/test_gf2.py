@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from symldpc import (
     sym_space,
     tanner_lower_bound,
 )
+from symldpc import gf2
 from symldpc.exceptions import (
     BadParametersError,
     StructureViolationError,
@@ -452,13 +454,46 @@ def test_min_weight_matches_oracle(h):
     _assert_min_weight_matches_oracle(h)
 
 
-@pytest.mark.parametrize("ncols, dimension", [(40, 17), (65, 18), (129, 19)])
+@pytest.mark.parametrize(
+    "ncols, dimension", [(30, 12), (30, 13), (40, 17), (65, 18), (129, 19)]
+)
 def test_min_weight_past_the_doubling_table_matches_oracle(ncols, dimension):
-    # dimensions above 16 XOR the 2^16-entry table with Gray-ordered offsets
+    # dimensions above 12 XOR the 2^12-entry table with Gray-ordered offsets
     rng = np.random.default_rng(ncols)
     h = _matrix_from_dense(rng.random((ncols - dimension, ncols)) < 0.4)
     assert code_dimension(h) == dimension
     _assert_min_weight_matches_oracle(h)
+
+
+def test_min_distance_enumeration_memory(c24):
+    # the whole 2^16-entry table and each XOR of it: 3.7 MB traced
+    h = SparseBitMatrix.from_rows(c24.h.nrows, c24.h.ncols, c24.h.row_support)
+    tracemalloc.start()
+    try:
+        got = min_distance(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.value, got.status, got.method) == (16, EXACT, "enumeration")
+    assert peak < 2_000_000
+
+
+def test_elimination_is_computed_once_per_matrix_and_read_only(monkeypatch, ct23):
+    calls = []
+    echelon = gf2._echelon
+    monkeypatch.setattr(gf2, "_echelon", lambda h: calls.append(h) or echelon(h))
+    h = SparseBitMatrix.from_rows(ct23.h.nrows, ct23.h.ncols, ct23.h.row_support)
+    assert code_dimension(h) == h.ncols - rank_gf2(h)
+    null_space_basis(h)
+    min_distance(h)
+    assert len(calls) == 1
+    mat, _ = gf2._reduced(h)
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0
+    # equal matrices do not share it
+    twin = SparseBitMatrix.from_rows(h.nrows, h.ncols, h.row_support)
+    assert twin == h and rank_gf2(twin) == rank_gf2(h)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["H", "HT"])

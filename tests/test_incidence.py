@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,9 @@ from symldpc import (
     SparseBitMatrix,
     build_h,
     diameter,
+    gallager_random,
     girth,
+    make_code,
     point_graph_components,
     sym_space,
     verify_structure,
@@ -164,6 +169,7 @@ def test_girth_of_built_instances(n, q):
 def test_bfs_matches_per_root_oracle(h):
     assert girth(h) == reference_girth(h)
     assert diameter(h) == reference_diameter(h)
+    assert all_roots_bfs(h) == (girth(h), diameter(h))
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
@@ -177,8 +183,8 @@ def test_bfs_root_blocks_split(monkeypatch, n, q):
 
 def test_tanner_bfs_runs_once_per_matrix_instance(monkeypatch):
     calls = []
-    bfs = incidence._all_roots_bfs
-    monkeypatch.setattr(incidence, "_all_roots_bfs", lambda h: calls.append(h) or bfs(h))
+    bfs = incidence._rooted_bfs
+    monkeypatch.setattr(incidence, "_rooted_bfs", lambda h, roots: calls.append(h) or bfs(h, roots))
     h = build_h(sym_space(2, 3))
     twin = build_h(sym_space(2, 3))
     assert (girth(h), diameter(h), girth(h)) == (8, 6, 8)
@@ -219,9 +225,22 @@ def test_diameter_small_instances():
     assert diameter(disconnected) == INF
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def reference_point_graph_components(space):
+    """Components counted by a BFS from every point not yet reached."""
+    seen: set[int] = set()
+    components = 0
+    for start in range(space.size):
+        if start not in seen:
+            components += 1
+            for layer in space.distance_layers(space.point_at(start)):
+                seen.update(layer)
+    return components
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_point_graph_is_connected(n, q):
-    assert point_graph_components(sym_space(n, q)) == 1
+    space = sym_space(n, q)
+    assert point_graph_components(space) == reference_point_graph_components(space) == 1
 
 
 def test_point_graph_components_uses_point_bfs_cap(monkeypatch):
@@ -242,3 +261,162 @@ def test_caps_reject_runaway_instances():
         girth(huge)
     with pytest.raises(TooLargeError):
         diameter(huge)
+
+
+# -- roots from the translation orbits ---------------------------------------
+
+
+def all_roots_bfs(h):
+    """(girth, diameter) from a bit-parallel BFS of every vertex at once.
+
+    The library's BFS before it took a list of roots; quick enough to serve
+    as the oracle where the per-root oracles above take tens of seconds.
+    """
+    adj = _adjacency(h)
+    nverts = len(adj)
+    frontier = [1 << v for v in range(nverts)]
+    seen = frontier[:]
+    best, depth = INF, 0
+    while True:
+        nxt = [0] * nverts
+        for v, nbrs in enumerate(adj):
+            reach = twice = 0
+            for u in nbrs:
+                twice |= reach & frontier[u]
+                reach |= frontier[u]
+            new = reach & ~seen[v]
+            if new:
+                nxt[v] = new
+                seen[v] |= new
+                if twice & new:
+                    best = min(best, 2 * (depth + 1))
+        if not any(nxt):
+            break
+        frontier = nxt
+        depth += 1
+    full = (1 << nverts) - 1
+    return best, depth if all(s == full for s in seen) else INF
+
+
+def reference_overlap(h):
+    """lambda_max from every row pair; raises on two rows sharing two columns."""
+    seen = set()
+    for col in h.col_support:
+        for a in range(len(col)):
+            for b in range(a + 1, len(col)):
+                if (col[a], col[b]) in seen:
+                    raise StructureViolationError(f"rows {col[a]} and {col[b]}")
+                seen.add((col[a], col[b]))
+    return 1 if seen else 0
+
+
+ORBIT_INSTANCES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (3, 2), (3, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_invariants(n, q):
+    # the transpose has the same Tanner graph with rows and columns swapped,
+    # so both orientations share one oracle run; C(3,3) takes the all-roots
+    # oracle, the per-root ones taking about 26 s there
+    h = build_h(sym_space(n, q))
+    if (n, q) == (3, 3):
+        return all_roots_bfs(h)
+    return reference_girth(h), reference_diameter(h)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["C", "CT"])
+@pytest.mark.parametrize("n,q", ORBIT_INSTANCES)
+def test_orbit_roots_match_oracles(n, q, transpose):
+    lines = build_h(sym_space(n, q))
+    h = lines.transpose() if transpose else lines
+    roots = incidence.translation_roots(h)
+    gamma = (q**n - 1) // (q - 1)
+    assert len(roots) == gamma + 1  # one orbit per direction, one of points
+    assert (girth(h), diameter(h)) == _oracle_invariants(n, q)
+    oriented = h.transpose() if transpose else h
+    rep = verify_structure(oriented, n, q)
+    assert rep.lambda_max == reference_overlap(oriented) == 1
+
+
+def _altered(n, q, row, point):
+    """H(n,q) with the last point of one row replaced by another point."""
+    h = build_h(sym_space(n, q))
+    rows = list(h.row_support)
+    rows[row] = (*rows[row][:-1], point)
+    return SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
+
+
+# C(2,4)'s row 1 is (0, 16, 32, 48); as (0, 16, 32, 34) every translate of
+# it still starts with the first two points of some row, and the rows still
+# map one to one, so only the entry-by-entry comparison rejects it
+@pytest.mark.parametrize("n,q,row,point", [(2, 3, 0, 3), (3, 3, 0, 3), (2, 4, 1, 34)])
+def test_altered_row_falls_back_to_every_root(n, q, row, point):
+    bad = _altered(n, q, row, point)
+    assert incidence.translation_roots(bad) == tuple(range(bad.nrows + bad.ncols))
+    if (n, q) == (3, 3):
+        want = all_roots_bfs(bad)
+    else:
+        want = reference_girth(bad), reference_diameter(bad)
+    assert (girth(bad), diameter(bad)) == want
+    with pytest.raises(StructureViolationError):
+        verify_structure(bad, n, q)
+
+
+def test_gallager_code_of_geometry_shape_falls_back_to_every_root():
+    # 12 x 8 with column weight 3 and row weight 2, the shape of H(2,2)
+    g = gallager_random(8, 3, 2, seed=4)
+    h = g.h
+    assert (h.nrows, h.ncols) == (12, 8)
+    every = tuple(range(20))
+    assert incidence.translation_roots(h) == every
+    assert incidence.translation_roots(h.transpose()) == tuple(range(20))
+    assert (girth(h), diameter(h)) == (reference_girth(h), reference_diameter(h))
+    assert g.girth == reference_girth(h)
+
+
+def _widened(n, q):
+    """H(n,q) with one more column, met by row 0 only: 1 + q^N columns."""
+    h = build_h(sym_space(n, q))
+    rows = list(h.row_support)
+    rows[0] = (*rows[0], h.ncols)
+    return SparseBitMatrix.from_rows(h.nrows, h.ncols + 1, rows)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        SparseBitMatrix.from_rows(1, 1, [(0,)]),
+        SparseBitMatrix.from_rows(2, 6, [(0, 1, 2), (3, 4, 5)]),
+        _widened(2, 2),  # 12 x 9, and 9 = 3^2 columns tried and failed
+        _widened(2, 3),  # 36 x 28
+    ],
+    ids=["1x1", "2x6", "C(2,2)+1", "C(2,3)+1"],
+)
+def test_shapes_without_a_translation_group_give_every_root(h):
+    assert incidence.translation_roots(h) == tuple(range(h.nrows + h.ncols))
+    assert (girth(h), diameter(h)) == (reference_girth(h), reference_diameter(h))
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 4)])
+def test_orbit_roots_split_across_root_blocks(monkeypatch, n, q):
+    h = build_h(sym_space(n, q))
+    monkeypatch.setattr(incidence, "ROOT_BLOCK", 3)
+    for m in (h, h.transpose()):
+        assert len(incidence.translation_roots(m)) > 3
+        assert (girth(m), diameter(m)) == _oracle_invariants(n, q)
+
+
+def test_orbit_rooted_girth_and_diameter_memory():
+    # every root at once held a 3888-bit int per vertex: 6.3 MB traced
+    code = make_code("symmetric", 3, 3)
+    tracemalloc.start()
+    try:
+        assert code.girth == 8
+        assert tracemalloc.get_traced_memory()[1] < 3_000_000
+        # the same BFS gave the diameter
+        assert diameter(code.h) == 8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+

@@ -103,3 +103,20 @@ def test_readme_quotes_constants_at_their_values():
         assert name in constants, f"README quotes {name}, which no module defines"
         scale = 1024 if number[2] else 1
         assert constants[name] == int(number[1]) * scale, f"README quotes {name} ({value})"
+
+
+def test_analyze_report_is_byte_identical_across_runs(tmp_path, capsys):
+    # a benchmark pass compares the reports of separate runs, so the report
+    # must hold no timing or other per-run value
+    from symldpc.cli import main
+
+    for family in ("symmetric", "symmetric_transpose"):
+        alist = tmp_path / f"{family}.alist"
+        assert main(["build", "--n", "2", "--q", "3", "--family", family, "--out", str(alist)]) == 0
+        capsys.readouterr()
+        outputs = []
+        for _ in range(2):
+            assert main(["analyze", "--infile", str(alist)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert '"roots": 5' in outputs[0]
