@@ -42,82 +42,70 @@ from .incidence import SparseBitMatrix, diameter, girth, translation_roots, veri
 
 
 def write_alist(h: SparseBitMatrix, path) -> None:
-    max_col = max((len(c) for c in h.col_support), default=0)
-    max_row = max((len(r) for r in h.row_support), default=0)
-    lines = [
-        f"{h.ncols} {h.nrows}",
-        f"{max_col} {max_row}",
-        " ".join(str(len(c)) for c in h.col_support),
-        " ".join(str(len(r)) for r in h.row_support),
-    ]
-    for col in h.col_support:
-        padded = [str(i + 1) for i in col] + ["0"] * (max_col - len(col))
-        lines.append(" ".join(padded))
-    for row in h.row_support:
-        padded = [str(j + 1) for j in row] + ["0"] * (max_row - len(row))
-        lines.append(" ".join(padded))
+    blocks = (h.col_support, h.row_support)
+    widths = [max((len(s) for s in block), default=0) for block in blocks]
+    lines = [f"{h.ncols} {h.nrows}", " ".join(map(str, widths))]
+    lines += (" ".join(str(len(s)) for s in block) for block in blocks)
+    for block, width in zip(blocks, widths):
+        lines += (" ".join([str(i + 1) for i in s] + ["0"] * (width - len(s))) for s in block)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_alist(path) -> SparseBitMatrix:
-    text = Path(path).read_text(encoding="utf-8")
-    rows_of_ints: list[list[int]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    """H built from an alist's row lists, with each column list checked against it.
+
+    Zero entries are padding, and the entries of a list may come in any
+    order.  Only blank lines may follow the last list.
+    """
+
+    def bad(lineno: int, message: str) -> BadParametersError:
+        return BadParametersError(f"{path}:{lineno}: {message}")
+
+    lists: list[list[int]] = []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         try:
-            rows_of_ints.append([int(tok) for tok in line.split()])
+            lists.append(list(map(int, line.split())))
         except ValueError as exc:
-            raise BadParametersError(f"{path}:{lineno}: not an integer row: {exc}")
-    if len(rows_of_ints) < 4:
+            raise bad(lineno, f"not an integer row: {exc}")
+    if len(lists) < 4:
         raise BadParametersError(f"{path}: truncated alist (needs at least 4 lines)")
-    if len(rows_of_ints[0]) != 2:
-        raise BadParametersError(f"{path}:1: expected 'N M'")
-    ncols, nrows = rows_of_ints[0]
+    if len(lists[0]) != 2 or min(lists[0]) < 0:
+        raise bad(1, "expected 'N M'")
+    ncols, nrows = lists[0]
     expected = 4 + ncols + nrows
-    while len(rows_of_ints) > expected and not rows_of_ints[-1]:
-        rows_of_ints.pop()  # trailing blank lines are harmless
-    if len(rows_of_ints) < expected:
-        raise BadParametersError(
-            f"{path}: expected {expected} data lines, found {len(rows_of_ints)}"
-        )
-    col_weights = rows_of_ints[2]
-    row_weights = rows_of_ints[3]
+    if len(lists) < expected:
+        raise BadParametersError(f"{path}: expected {expected} data lines, found {len(lists)}")
+    for k in range(expected, len(lists)):
+        if lists[k]:
+            raise bad(k + 1, "data after the last list")
+    col_weights, row_weights = lists[2], lists[3]
     if len(col_weights) != ncols:
-        raise BadParametersError(f"{path}:3: expected {ncols} column weights")
+        raise bad(3, f"expected {ncols} column weights")
     if len(row_weights) != nrows:
-        raise BadParametersError(f"{path}:4: expected {nrows} row weights")
+        raise bad(4, f"expected {nrows} row weights")
     max_col, max_row = max(col_weights, default=0), max(row_weights, default=0)
-    if rows_of_ints[1] != [max_col, max_row]:
-        raise BadParametersError(
-            f"{path}:2: expected the max column and row weights {max_col} {max_row}"
-        )
-    rows: list[list[int]] = [[] for _ in range(nrows)]
-    for j in range(ncols):
-        lineno = 5 + j
-        entries = [v for v in rows_of_ints[4 + j] if v != 0]
-        if len(entries) != col_weights[j]:
-            raise BadParametersError(
-                f"{path}:{lineno}: column {j} lists {len(entries)} rows, "
-                f"weight says {col_weights[j]}"
-            )
-        if len(set(entries)) != len(entries):
-            raise BadParametersError(f"{path}:{lineno}: column {j} repeats a row index")
-        for v in entries:
-            if not 1 <= v <= nrows:
-                raise BadParametersError(f"{path}:{lineno}: row index {v} out of range")
-            rows[v - 1].append(j)
-    h = SparseBitMatrix.from_rows(nrows, ncols, (sorted(r) for r in rows))
-    for i in range(nrows):
+    if lists[1] != [max_col, max_row]:
+        raise bad(2, f"expected the max column and row weights {max_col} {max_row}")
+    # column[v] is 1-based column v's 0-based index, one int per column, not per entry
+    column = list(range(-1, ncols))
+    rows = []
+    for i, entries in enumerate(lists[4 + ncols : expected]):
         lineno = 5 + ncols + i
-        entries = [v for v in rows_of_ints[4 + ncols + i] if v != 0]
-        if len(entries) != row_weights[i]:
-            raise BadParametersError(
-                f"{path}:{lineno}: row {i} lists {len(entries)} columns, "
-                f"weight says {row_weights[i]}"
-            )
-        if sorted(v - 1 for v in entries) != list(h.row_support[i]):
-            raise BadParametersError(
-                f"{path}:{lineno}: row {i} support disagrees with the column lists"
-            )
+        row = sorted([v for v in entries if v])
+        if len(row) != row_weights[i]:
+            raise bad(lineno, f"row {i} lists {len(row)} columns, weight says {row_weights[i]}")
+        if len(set(row)) != len(row):
+            raise bad(lineno, f"row {i} repeats a column index")
+        if row and (row[0] < 1 or row[-1] > ncols):
+            raise bad(lineno, f"row {i} has a column index out of range")
+        rows.append([column[v] for v in row])
+    h = SparseBitMatrix.from_rows(nrows, ncols, rows)
+    for j, entries in enumerate(lists[4 : 4 + ncols]):
+        col = sorted([v - 1 for v in entries if v])
+        if len(col) != col_weights[j]:
+            raise bad(5 + j, f"column {j} lists {len(col)} rows, weight says {col_weights[j]}")
+        if tuple(col) != h.col_support[j]:
+            raise bad(5 + j, f"column {j} disagrees with the row lists")
     return h
 
 

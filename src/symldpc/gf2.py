@@ -219,41 +219,49 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
     open_rows = 0  # bit i is set while row i is open
     bound = budget + 1  # only supports smaller than this are still wanted
     best: tuple[int, ...] | None = None
-    floor = 0
-
-    def grow(j: int) -> None:
-        nonlocal open_rows, bound, best
-        support.append(j)
-        in_support[j] = True
-        for i in cols[j]:
-            c = hits[i]
-            hits[i] = c + 1
-            if c < limit:
-                open_rows ^= 1 << i
-        if not open_rows:
-            bound = len(support)
-            best = tuple(support)
-        else:
-            row = (open_rows & -open_rows).bit_length() - 1
-            need = -(-open_rows.bit_count() // gamma_max)
-            for k in rows[row]:
-                if len(support) + need >= bound:
-                    break
-                if k >= floor and not in_support[k]:
-                    grow(k)
-        for i in cols[j]:
-            c = hits[i] - 1
-            hits[i] = c
-            if c < limit:
-                open_rows ^= 1 << i
-        in_support[j] = False
-        support.pop()
 
     for j0 in range(h.ncols):
         if bound == 1:
             break
-        floor = j0
-        grow(j0)
+        # walk the tree rooted at j0 on an explicit stack, so its depth is not
+        # bound by the recursion limit: a frame per support column holds its
+        # branching row's columns still to try and how many more it needs
+        frames: list = []
+        j = j0
+        while True:
+            if j >= 0:
+                support.append(j)
+                in_support[j] = True
+                for i in cols[j]:
+                    c = hits[i]
+                    hits[i] = c + 1
+                    if c < limit:
+                        open_rows ^= 1 << i
+                if open_rows:
+                    row = (open_rows & -open_rows).bit_length() - 1
+                    frames.append((iter(rows[row]), -(-open_rows.bit_count() // gamma_max)))
+                else:
+                    bound = len(support)
+                    best = tuple(support)
+                    frames.append(((), 0))
+            kids, need = frames[-1]
+            j = -1
+            if len(support) + need < bound:
+                for k in kids:
+                    if k >= j0 and not in_support[k]:
+                        j = k
+                        break
+            if j < 0:
+                frames.pop()
+                k = support.pop()
+                in_support[k] = False
+                for i in cols[k]:
+                    c = hits[i] - 1
+                    hits[i] = c
+                    if c < limit:
+                        open_rows ^= 1 << i
+                if not frames:
+                    break
     if best is None:
         return DistanceResult(
             value=budget + 1,

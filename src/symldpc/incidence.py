@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import BadParametersError, StructureViolationError, TooLargeError
+from .exceptions import BadParametersError, StructureViolationError, TooLargeError, check_integer
 from .gf import factor_prime_power
 from .symspace import SymSpace
 
@@ -156,8 +156,10 @@ def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
     one per orbit, since a translation maps two rows sharing two columns to
     two rows that share two columns.  Raises StructureViolationError naming
     the first failing row, column, or pair.  Returns a report with the
-    observed weights and sparsity ratios.
+    observed weights and sparsity ratios.  n must be at least 1 and q at
+    least 2.
     """
+    n, q = check_integer("n", n, 1), check_integer("q", q, 2)
     gamma = (q**n - 1) // (q - 1)
     for i, row in enumerate(h.row_support):
         if len(row) != q:

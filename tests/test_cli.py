@@ -82,6 +82,55 @@ def test_analyze_rejects_repeated_row_index(tmp_path, capsys):
     assert "dup.alist:5" in err
 
 
+# C(2,2) as written: line 1 "8 12", line 2 "3 2", lines 5-12 the column
+# lists (line 5 "1 2 3"), lines 13-24 the row lists (line 13 "1 2")
+@pytest.mark.parametrize(
+    "lineno,text",
+    [
+        pytest.param(6, "1 x 5", id="not-an-integer"),
+        pytest.param(1, "8", id="header-one-count"),
+        pytest.param(1, "8 -12", id="header-negative-count"),
+        pytest.param(2, "3 3", id="max-weights"),
+        pytest.param(3, "3 3 3 3 3 3 3", id="column-weights"),
+        pytest.param(4, "2 2 2 2 2 2 2 2 2 2 2 2 2", id="row-weights"),
+        pytest.param(5, "1 1 3", id="column-repeats-a-row"),
+        pytest.param(5, "1 2 13", id="column-row-out-of-range"),
+        pytest.param(5, "1 2 4", id="column-disagrees-with-rows"),
+        pytest.param(13, "1 0", id="row-wrong-count"),
+        pytest.param(13, "1 1", id="row-repeats-a-column"),
+        pytest.param(13, "1 9", id="row-column-out-of-range"),
+        pytest.param(25, "7 7 7", id="data-after-the-last-list"),
+    ],
+)
+def test_analyze_names_the_corrupted_alist_line(tmp_path, capsys, lineno, text):
+    path = tmp_path / "c22.alist"
+    write_alist(codes.make_code("symmetric", 2, 2).h, path)
+    lines = path.read_text().splitlines() + [""]
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--infile", str(path), "--checks", "rank"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{path}:{lineno}:" in err
+
+
+def test_alist_allows_blank_lines_after_the_last_list(tmp_path):
+    h = SparseBitMatrix.from_rows(2, 3, [(0, 2), (1,)])
+    path = tmp_path / "m.alist"
+    path.write_text("3 2\n1 2\n1 1 1\n2 1\n1\n2\n1\n3 1\n2\n\n  \n")
+    assert read_alist(path) == h
+
+
+def test_analyze_searches_a_cycle_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the only stopping set of a 1200-check cycle is all 1200 columns
+    path = tmp_path / "cycle.alist"
+    rows = [sorted({i, (i + 1) % 1200}) for i in range(1200)]
+    write_alist(SparseBitMatrix.from_rows(1200, 1200, rows), path)
+    assert main(["analyze", "--infile", str(path), "--checks", "stopdist"]) == 0
+    entry = json.loads(capsys.readouterr().out)["stopdist"]
+    assert (entry["value"], entry["exactness"]) == (1200, "exact")
+
+
 def test_build_writes_alist_and_metadata(tmp_path):
     out = tmp_path / "h22.alist"
     rc = main(

@@ -665,3 +665,35 @@ def test_stopping_distance_of_the_symmetric_family(q, budget, value, status):
     # the counting bound on lonely rows makes these budgets a second each
     res = stopping_distance(make_code(FAMILY_SYMMETRIC, 2, q).h, budget=budget)
     assert (res.value, res.status) == (value, status)
+
+
+def _cycle(n):
+    """n checks on n columns, check i on columns i and i + 1 mod n."""
+    return SparseBitMatrix.from_rows(n, n, [sorted({i, (i + 1) % n}) for i in range(n)])
+
+
+def test_stopping_search_runs_deeper_than_the_recursion_limit():
+    # the only stopping set of a cycle is every column, so the search goes
+    # 1200 columns deep, past the interpreter's default limit of 1000 frames
+    res = stopping_distance(_cycle(1200))
+    assert (res.value, res.status, res.witness) == (1200, "exact", frozenset(range(1200)))
+
+
+@pytest.mark.parametrize(
+    "family,n,q,search,budget,witness",
+    [
+        (
+            FAMILY_SYMMETRIC, 2, 3, stopping_distance, None,
+            [0, 1, 7, 8, 9, 10, 12, 14, 21, 23, 25, 26],
+        ),
+        (FAMILY_TRANSPOSE, 2, 3, stopping_distance, None, [0, 1, 4, 7, 30, 33]),
+        (FAMILY_TRANSPOSE, 2, 4, stopping_distance, 8, [0, 1, 5, 9, 13, 68, 72, 76]),
+        (FAMILY_TRANSPOSE, 2, 3, _support_search, 6, [0, 1, 4, 7, 30, 33]),
+        (FAMILY_TRANSPOSE, 2, 4, _support_search, 8, [0, 1, 5, 9, 13, 68, 72, 76]),
+    ],
+)
+def test_support_search_witnesses_keep_their_branching_order(family, n, q, search, budget, witness):
+    # the first witness the branch and bound meets depends on the order it
+    # tries columns in; these are the witnesses of the recursive search
+    res = search(make_code(family, n, q).h, budget)
+    assert (res.value, res.status, sorted(res.witness)) == (len(witness), "exact", witness)

@@ -17,7 +17,7 @@ from symldpc import (
     verify_structure,
 )
 from symldpc import incidence, symspace
-from symldpc.exceptions import StructureViolationError, TooLargeError
+from symldpc.exceptions import BadParametersError, StructureViolationError, TooLargeError
 
 INF = float("inf")
 
@@ -420,3 +420,10 @@ def test_orbit_rooted_girth_and_diameter_memory():
         tracemalloc.stop()
     assert peak < 3_000_000
 
+
+
+@pytest.mark.parametrize("n,q", [(2, 1), (2, 0), (0, 2), (2.0, 2), (2, True)])
+def test_structure_refuses_parameters_outside_the_family(n, q):
+    # q = 1 used to divide by q - 1 = 0
+    with pytest.raises(BadParametersError, match="must be an integer"):
+        verify_structure(build_h(sym_space(2, 2)), n, q)

@@ -4,6 +4,8 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import symldpc
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "symldpc"
@@ -120,3 +122,23 @@ def test_analyze_report_is_byte_identical_across_runs(tmp_path, capsys):
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert '"roots": 5' in outputs[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "symmetric", "--n", "2", "--q", "2"],
+        ["build", "--family", "symmetric_transpose", "--n", "2", "--q", "3"],
+        ["build", "--family", "symmetric", "--n", "3", "--q", "2"],
+        ["export", "--baseline", "gallager:64,3,4", "--seed", "7"],
+    ],
+)
+def test_alist_writer_reproduces_the_file_it_reads(tmp_path, capsys, argv):
+    # the alist format is fixed: what the writer makes, read back and
+    # written again, must come out byte for byte the same
+    from symldpc.cli import main, read_alist, write_alist
+
+    written, rewritten = tmp_path / "h.alist", tmp_path / "again.alist"
+    assert main(argv + ["--out", str(written)]) == 0
+    write_alist(read_alist(written), rewritten)
+    assert rewritten.read_bytes() == written.read_bytes()
