@@ -31,7 +31,10 @@ import errno
 import json
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
+
+import numpy as np
 
 from . import codes, gf2, sim
 from .exceptions import BadParametersError, StructureViolationError, SymLdpcError
@@ -51,15 +54,38 @@ def write_alist(h: SparseBitMatrix, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _sorted_entries(lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a block of lists as arrays, and each list's count.
+
+    Returns (list number, value) of every nonzero entry, ordered by list and
+    then by value, and the number of nonzero entries per list.
+    """
+    sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    values = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(lists)), sizes)
+    keep = values != 0
+    owner, values = owner[keep], values[keep]
+    order = np.lexsort((values, owner))
+    return owner[order], values[order], np.bincount(owner, minlength=len(lists))
+
+
 def read_alist(path) -> SparseBitMatrix:
     """H built from an alist's row lists, with each column list checked against it.
 
     Zero entries are padding, and the entries of a list may come in any
-    order.  Only blank lines may follow the last list.
+    order.  Only blank lines may follow the last list.  Each block of lists
+    is checked as arrays, and the first faulty list is named by its line.
     """
 
     def bad(lineno: int, message: str) -> BadParametersError:
         return BadParametersError(f"{path}:{lineno}: {message}")
+
+    def first_fault(faults, start: int) -> None:
+        """Raise for the earliest list of any (list numbers, message) pair; earlier pairs win ties."""
+        found = [(int(at[0]), k) for k, (at, _) in enumerate(faults) if len(at)]
+        if found:
+            i, k = min(found)
+            raise bad(start + i, faults[k][1](i))
 
     lists: list[list[int]] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -86,26 +112,35 @@ def read_alist(path) -> SparseBitMatrix:
     max_col, max_row = max(col_weights, default=0), max(row_weights, default=0)
     if lists[1] != [max_col, max_row]:
         raise bad(2, f"expected the max column and row weights {max_col} {max_row}")
-    # column[v] is 1-based column v's 0-based index, one int per column, not per entry
-    column = list(range(-1, ncols))
-    rows = []
-    for i, entries in enumerate(lists[4 + ncols : expected]):
-        lineno = 5 + ncols + i
-        row = sorted([v for v in entries if v])
-        if len(row) != row_weights[i]:
-            raise bad(lineno, f"row {i} lists {len(row)} columns, weight says {row_weights[i]}")
-        if len(set(row)) != len(row):
-            raise bad(lineno, f"row {i} repeats a column index")
-        if row and (row[0] < 1 or row[-1] > ncols):
-            raise bad(lineno, f"row {i} has a column index out of range")
-        rows.append([column[v] for v in row])
-    h = SparseBitMatrix.from_rows(nrows, ncols, rows)
-    for j, entries in enumerate(lists[4 : 4 + ncols]):
-        col = sorted([v - 1 for v in entries if v])
-        if len(col) != col_weights[j]:
-            raise bad(5 + j, f"column {j} lists {len(col)} rows, weight says {col_weights[j]}")
-        if tuple(col) != h.col_support[j]:
-            raise bad(5 + j, f"column {j} disagrees with the row lists")
+    try:
+        row, col, counts = _sorted_entries(lists[4 + ncols : expected])
+        _, row_of_col, col_counts = _sorted_entries(lists[4 : 4 + ncols])
+    except OverflowError:
+        k = next(k for k in range(4, expected) if any(abs(v) >= 1 << 63 for v in lists[k]))
+        raise bad(k + 1, "an index does not fit in 64 bits")
+    del lists[4:]  # the arrays hold the lists' entries now
+    repeats = (row[1:] == row[:-1]) & (col[1:] == col[:-1])
+    first_fault(
+        [
+            (np.flatnonzero(counts != row_weights),
+             lambda i: f"row {i} lists {counts[i]} columns, weight says {row_weights[i]}"),
+            (row[1:][repeats], lambda i: f"row {i} repeats a column index"),
+            (row[(col < 1) | (col > ncols)], lambda i: f"row {i} has a column index out of range"),
+        ],
+        5 + ncols,
+    )
+    h = SparseBitMatrix.from_flat(nrows, ncols, col - 1, counts)
+    listed = iter((row_of_col - 1).tolist())
+    first_fault(
+        [
+            (np.flatnonzero(col_counts != col_weights),
+             lambda j: f"column {j} lists {col_counts[j]} rows, weight says {col_weights[j]}"),
+            ([j for j, (k, c) in enumerate(zip(col_counts.tolist(), h.col_support))
+              if tuple(islice(listed, k)) != c],
+             lambda j: f"column {j} disagrees with the row lists"),
+        ],
+        5,
+    )
     return h
 
 

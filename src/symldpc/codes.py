@@ -16,10 +16,8 @@ below.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -109,18 +107,16 @@ def ctranspose_witness(n: int, q: int) -> frozenset[int]:
     other: {corner(y, 0, x) : y} for each x, and {corner(x, 0, y) : y} for
     each x.  Every corner-diagonal point lies on exactly two of them, so
     the corresponding columns of the transpose are dependent; that is
-    checked on the lines' own points, without building the matrix.
+    checked on the lines' own rows of the member array, without building
+    the matrix.
     """
     space = sym_space(n, q)
     witness = set()
     for x in range(q):
-        sweep_first = space.line_through(space.corner(0, 0, x), space.corner(1, 0, x))
-        sweep_second = space.line_through(space.corner(x, 0, 0), space.corner(x, 0, 1))
-        witness.add(space.line_index(sweep_first.points))
-        witness.add(space.line_index(sweep_second.points))
-    lines = space.lines()
-    hits = Counter(chain.from_iterable(lines[i].points for i in witness))
-    if len(witness) != 2 * q or any(count % 2 for count in hits.values()):
+        witness.add(space.line_index([space.corner(y, 0, x).index for y in range(q)]))
+        witness.add(space.line_index([space.corner(x, 0, y).index for y in range(q)]))
+    hits = np.bincount(space.line_array()[sorted(witness)].ravel())
+    if len(witness) != 2 * q or (hits % 2).any():
         raise StructureViolationError(
             f"CT({n},{q}): the {len(witness)} witness lines are not 2q dependent columns"
         )
@@ -156,12 +152,14 @@ def c2q_witness(q: int) -> frozenset[int]:
         pts.add(space.corner(1, t, t2p1).index)
     if len(pts) != 4 * q:
         raise StructureViolationError(f"c2q witness has {len(pts)} points, expected 4q")
-    for line in space.lines():
-        meets = len(pts.intersection(line.points))
-        if meets not in (0, 2):
-            raise StructureViolationError(
-                f"line {line.index} meets the c2q witness in {meets} points, expected 0 or 2"
-            )
+    marked = np.zeros(space.size, dtype=bool)
+    marked[list(pts)] = True
+    meets = marked[space.line_array()].sum(axis=1)
+    odd = np.flatnonzero((meets != 0) & (meets != 2))
+    if len(odd):
+        raise StructureViolationError(
+            f"line {odd[0]} meets the c2q witness in {meets[odd[0]]} points, expected 0 or 2"
+        )
     return frozenset(pts)
 
 
@@ -172,19 +170,21 @@ def independent_row_family(n: int, q: int) -> frozenset[int]:
     point whose (i, i) entry is 0 and whose earlier diagonal entries are
     all nonzero.  The union has q^((n^2-n)/2) * (q^n - (q-1)^n) rows and
     full rank, which bounds the rank of the incidence matrix from below.
+    The unit at (i, i) has index q^k for the entry's place k, so such a
+    line's members are the point's index plus x * q^k, found in the
+    member array by `SymSpace.line_rows`.
     """
     space = sym_space(n, q)
+    space.line_array()  # refuses an oversized space before the point arrays
+    index = np.arange(space.size)
+    earlier_nonzero = np.ones(space.size, dtype=bool)
     selected = set()
     for i in range(1, n + 1):
-        unit = space.diag_unit(i)
-        for idx in range(space.size):
-            s = space.point_at(idx)
-            if space.entry(s, i, i) != 0:
-                continue
-            if any(space.entry(s, j, j) == 0 for j in range(1, i)):
-                continue
-            line = space.line_through(s, space.add(s, unit))
-            selected.add(space.line_index(line.points))
+        unit = space.diag_unit(i).index
+        entry = index // unit % q
+        base = index[(entry == 0) & earlier_nonzero]
+        selected.update(space.line_rows(base[:, None] + unit * np.arange(q)).tolist())
+        earlier_nonzero &= entry != 0
     expected = q ** ((n * n - n) // 2) * (q**n - (q - 1) ** n)
     if len(selected) != expected:
         raise StructureViolationError(

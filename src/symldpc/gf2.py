@@ -12,7 +12,9 @@ Above the enumeration cap, codeword supports and stopping sets are found
 by one branch and bound, pruned by counting: a partial support with L
 rows still open needs at least ceil(L / gamma_max) more columns.  A row
 is open while it is hit an odd number of times for a codeword, and
-exactly once for a stopping set.  Exactness is explicit:
+exactly once for a stopping set.  Both searches take the Tanner bound of
+h's girth (`tanner_lower_bound`, at girth 6 or 8) as a floor: a budget
+below it is answered without searching.  Exactness is explicit:
 DistanceResult.status says whether a search exhausted everything below
 the reported value or only proved a lower bound within its budget.
 """
@@ -25,8 +27,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import StructureViolationError, UnsupportedGirthError, check_integer
-from .incidence import SparseBitMatrix
+from .exceptions import StructureViolationError, TooLargeError, UnsupportedGirthError, check_integer
+from .incidence import SparseBitMatrix, girth
 
 # full codeword enumeration is used when the code dimension is at most this
 ENUM_DIM_CAP = 25
@@ -127,7 +129,7 @@ def code_dimension(h: SparseBitMatrix) -> int:
 
 
 def _basis(echelon: np.ndarray, pivots: list[int], ncols: int) -> np.ndarray:
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.delete(np.arange(ncols), pivots)
     basis = np.zeros((len(free), ncols), dtype=np.uint8)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = _bits(echelon, free).T
@@ -210,7 +212,20 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
     least ceil(L / gamma_max) more columns; a branch stops once that count
     reaches the size bound.  Exact when the search space below the found
     size is exhausted within the budget; the witness must pass `holds`.
+
+    Every codeword support is a stopping set, so `_girth_floor(h)` bounds
+    both searches from below: a budget under it returns the floor (or
+    budget + 1, if larger) as lower_bound_only without searching, and a
+    set of the floor's size ends the search at once.
     """
+    floor = _girth_floor(h)
+    if budget < floor:
+        return DistanceResult(
+            value=max(floor, budget + 1),
+            status=LOWER_BOUND_ONLY,
+            witness=None,
+            method=METHOD_SUPPORT_SEARCH,
+        )
     rows, cols = h.row_support, h.col_support
     gamma_max = max((len(c) for c in cols), default=0)
     hits = [0] * h.nrows
@@ -221,7 +236,7 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
     best: tuple[int, ...] | None = None
 
     for j0 in range(h.ncols):
-        if bound == 1:
+        if bound <= max(floor, 1):
             break
         # walk the tree rooted at j0 on an explicit stack, so its depth is not
         # bound by the recursion limit: a frame per support column holds its
@@ -243,6 +258,8 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
                 else:
                     bound = len(support)
                     best = tuple(support)
+                    if bound <= floor:
+                        break
                     frames.append(((), 0))
             kids, need = frames[-1]
             j = -1
@@ -279,6 +296,21 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
         witness=frozenset(best),
         method=METHOD_SUPPORT_SEARCH,
     )
+
+
+def _girth_floor(h: SparseBitMatrix) -> int:
+    """`tanner_lower_bound` from h's girth and least column weight, else 0.
+
+    It applies at girth 6 or 8, and not when the Tanner BFS refuses h
+    (`incidence.VERTEX_CAP`).  The girth is h's cached one.
+    """
+    try:
+        girth_value = girth(h)
+    except TooLargeError:
+        return 0
+    if girth_value not in (6, 8):
+        return 0
+    return tanner_lower_bound(girth_value, min(len(c) for c in h.col_support))
 
 
 def _support_search(h: SparseBitMatrix, budget: int) -> DistanceResult:

@@ -2,10 +2,13 @@
 
 `build_h` assembles the sparse 0/1 matrix whose rows are the canonical
 lines and whose columns are the canonical points of a symmetric-matrix
-space; entry (i, j) is 1 exactly when line i contains point j.  The same
-matrix doubles as the bipartite adjacency structure used for girth and
-diameter computations, and as the parity-check matrix of the two code
-families built in `codes`.
+space; entry (i, j) is 1 exactly when line i contains point j.  It reads
+the space's member array through `SparseBitMatrix.from_flat`, which
+checks and transposes the rows as numpy arrays.  The same matrix doubles
+as the bipartite adjacency structure used for girth and diameter
+computations, and as the parity-check matrix of the two code families
+built in `codes`.  Girth and diameter come from one BFS that advances a
+block of roots at once, as uint64 bit rows per vertex.
 
 A line is a coset {S + xD}, so each translation X -> X + T of S_n(F_q)
 maps lines onto lines and is an automorphism of the Tanner graph of
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .symspace import SymSpace
 EDGE_CAP = 1 << 24
 # diameter/girth BFS refuses graphs with more vertices than this
 VERTEX_CAP = 1 << 20
-# roots advanced together by one BFS pass; BFS memory is O(V * ROOT_BLOCK) bits
+# roots advanced together by one BFS pass; each BFS array is (V + 1) x ceil(block / 64) uint64
 ROOT_BLOCK = 4096
 
 INFINITE = float("inf")
@@ -51,26 +55,43 @@ class SparseBitMatrix:
     col_support: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_rows(cls, nrows: int, ncols: int, rows) -> "SparseBitMatrix":
-        row_support = []
-        cols: list[list[int]] = [[] for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            row = tuple(int(j) for j in row)
-            if any(row[k] >= row[k + 1] for k in range(len(row) - 1)):
-                raise ValueError(f"row {i} support not strictly increasing")
-            if row and (row[0] < 0 or row[-1] >= ncols):
-                raise ValueError(f"row {i} has column index out of range")
-            row_support.append(row)
-            for j in row:
-                cols[j].append(i)
-        if len(row_support) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(row_support)}")
+    def from_flat(cls, nrows: int, ncols: int, indices, weights) -> "SparseBitMatrix":
+        """H from its rows' supports laid end to end: row i is the next weights[i] indices.
+
+        One numpy pass checks the row count, that every index lies in
+        [0, ncols) and that each row strictly increases.  The column
+        supports come from one stable argsort of the indices, so each lists
+        its rows in order.  The supports share one int object per index.
+        """
+        weights = np.asarray(weights, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64).ravel()
+        if len(weights) != nrows:
+            raise ValueError(f"expected {nrows} rows, got {len(weights)}")
+        if (weights < 0).any() or weights.sum() != len(indices):
+            raise ValueError(f"row weights sum to {weights.sum()}, not the {len(indices)} indices")
+        row_of = np.repeat(np.arange(nrows), weights)
+        # a fall inside a row (not at a row's first entry) breaks its order
+        falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+        falls = falls[row_of[falls] == row_of[falls - 1]]
+        outside = np.flatnonzero((indices < 0) | (indices >= ncols))
+        if len(falls):
+            raise ValueError(f"row {row_of[falls[0]]} support not strictly increasing")
+        if len(outside):
+            raise ValueError(f"row {row_of[outside[0]]} has column index out of range")
+        labels = np.arange(max(nrows, ncols)).astype(object)
+        order = np.argsort(indices, kind="stable")
         return cls(
             nrows=nrows,
             ncols=ncols,
-            row_support=tuple(row_support),
-            col_support=tuple(tuple(c) for c in cols),
+            row_support=_split(labels[indices], weights),
+            col_support=_split(labels[row_of[order]], np.bincount(indices, minlength=ncols)),
         )
+
+    @classmethod
+    def from_rows(cls, nrows: int, ncols: int, rows) -> "SparseBitMatrix":
+        """H from an iterable of row supports, each an ascending sequence of ints."""
+        rows = [[int(j) for j in row] for row in rows]
+        return cls.from_flat(nrows, ncols, list(chain.from_iterable(rows)), list(map(len, rows)))
 
     def transpose(self) -> "SparseBitMatrix":
         """The transpose: one instance per matrix, so its cached results are shared."""
@@ -121,6 +142,12 @@ class SparseBitMatrix:
         return tuple(sum(1 << j for j in row) for row in self.row_support)
 
 
+def _split(flat: np.ndarray, weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Consecutive runs of weights[i] entries of a flat object array, as tuples."""
+    items = iter(flat.tolist())
+    return tuple(tuple(islice(items, k)) for k in weights.tolist())
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Outcome of the four regular-LDPC structure checks."""
@@ -144,8 +171,7 @@ def build_h(space: SymSpace) -> SparseBitMatrix:
             f"instance has r={r} lines x q={space.q} = {edges} incidences, "
             f"exceeding cap {EDGE_CAP} (c={space.size} points)"
         )
-    rows = [line.points for line in space.lines()]
-    return SparseBitMatrix.from_rows(r, space.size, rows)
+    return SparseBitMatrix.from_flat(r, space.size, space.line_array(), np.full(r, space.q))
 
 
 def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
@@ -259,7 +285,7 @@ def _line_point_orbits(h: SparseBitMatrix, p: int, digits: int):
         row_map = order[np.minimum(found, len(keys) - 1)]
         if not np.array_equal(support[row_map], image):
             return None
-        if len(np.unique(row_map)) != len(row_map):
+        if np.bincount(row_map, minlength=h.nrows).max() > 1:
             return None
         row_maps.append(row_map)
         point_maps.append(moved)
@@ -285,53 +311,76 @@ def _orbit_minima(maps, size: int) -> list[int]:
         label = merged
 
 
+def _padded(supports, offset: int, sentinel: int) -> np.ndarray:
+    """(largest degree, len(supports)) array: slot s of every vertex's neighbours.
+
+    Neighbour j is vertex offset + j; vertices with fewer neighbours are
+    padded with the sentinel vertex.
+    """
+    weights = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
+    flat = np.fromiter(chain.from_iterable(supports), dtype=np.int64, count=int(weights.sum()))
+    vertex = np.repeat(np.arange(len(supports)), weights)
+    slot = np.arange(len(flat)) - np.repeat(np.cumsum(weights) - weights, weights)
+    out = np.full((weights.max(initial=0), len(supports)), sentinel, dtype=np.int64)
+    out[slot, vertex] = flat + offset
+    return out
+
+
 def _rooted_bfs(h: SparseBitMatrix, roots):
     """Girth and diameter of the Tanner graph of h, from a BFS of each root.
 
     Vertices are the rows 0..nrows-1, then the columns.  Roots run in
-    blocks of ROOT_BLOCK; each vertex keeps an int bitset of the block's
-    roots that have reached it, so one pass over the adjacency per depth
-    advances every root of the block at once.  A vertex that receives the
-    same new root from two frontier neighbours at depth d closes a cycle
-    of length 2d; the graph is bipartite, so no edge joins a layer to
-    itself, and a root on a shortest cycle finds its length first.  The
-    last depth that adds any bit is the root's eccentricity; a root that
-    misses a vertex makes the diameter infinite.  The minimum and maximum
-    over the roots are the girth and diameter when the roots meet every
-    orbit of an automorphism group, as `translation_roots` do.
+    blocks of ROOT_BLOCK, and each vertex keeps a row of ceil(block / 64)
+    uint64 words: bit k is set when root k of the block has reached it.
+    Adjacency is one padded array per side, whose padding is a sentinel
+    vertex past the last one with an all-zero frontier row.  One depth is
+    a loop over degree slots that ORs the frontier rows of every vertex's
+    slot-s neighbours at once, so every root of the block advances by one
+    level.  A vertex that receives the same new root from two frontier
+    neighbours at depth d closes a cycle of length 2d; the graph is
+    bipartite, so no edge joins a layer to itself, and a root on a
+    shortest cycle finds its length first.  The last depth that adds any
+    bit is the root's eccentricity; a root that misses a vertex makes the
+    diameter infinite.  The minimum and maximum over the roots are the
+    girth and diameter when the roots meet every orbit of an automorphism
+    group, as `translation_roots` do.
     """
-    adj = [tuple(h.nrows + j for j in row) for row in h.row_support]
-    adj.extend(h.col_support)
-    nverts = len(adj)
+    nverts = h.nrows + h.ncols
+    sides = (
+        (slice(0, h.nrows), _padded(h.row_support, h.nrows, nverts)),
+        (slice(h.nrows, nverts), _padded(h.col_support, 0, nverts)),
+    )
     best_girth = INFINITE
     worst = 0
     for first in range(0, len(roots), ROOT_BLOCK):
-        block = roots[first : first + ROOT_BLOCK]
-        frontier = [0] * nverts
-        for k, root in enumerate(block):
-            frontier[root] = 1 << k
-        seen = frontier[:]
+        block = np.asarray(roots[first : first + ROOT_BLOCK], dtype=np.int64)
+        k = np.arange(len(block))
+        frontier = np.zeros((nverts + 1, -(-len(block) // 64)), dtype=np.uint64)
+        frontier[block, k // 64] = np.left_shift(np.uint64(1), (k % 64).astype(np.uint64))
+        seen = frontier[:nverts].copy()
         depth = 0
         while True:
-            nxt = [0] * nverts
-            for v, nbrs in enumerate(adj):
-                reach = twice = 0
-                for u in nbrs:
-                    bits = frontier[u]
+            nxt = np.zeros_like(frontier)
+            for side, adj in sides:
+                reach = np.zeros_like(seen[side])
+                twice = np.zeros_like(reach)
+                for slot in adj:
+                    bits = frontier[slot]
                     twice |= reach & bits
                     reach |= bits
-                new = reach & ~seen[v]
-                if new:
-                    nxt[v] = new
-                    seen[v] |= new
-                    if twice & new:
-                        best_girth = min(best_girth, 2 * (depth + 1))
-            if not any(nxt):
+                new = reach & ~seen[side]
+                nxt[side] = new
+                seen[side] |= new
+                if (twice & new).any():
+                    best_girth = min(best_girth, 2 * (depth + 1))
+            if not nxt.any():
                 break
             frontier = nxt
             depth += 1
-        full = (1 << len(block)) - 1
-        worst = max(worst, depth if all(s == full for s in seen) else INFINITE)
+        full = np.full(frontier.shape[1], np.uint64(2**64 - 1))
+        if len(block) % 64:
+            full[-1] = np.uint64((1 << len(block) % 64) - 1)
+        worst = max(worst, depth if (seen == full).all() else INFINITE)
     return best_girth, worst
 
 

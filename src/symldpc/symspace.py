@@ -11,6 +11,13 @@ GF(q)} of a rank-1 direction D and contains exactly q points.  Lines are
 identified by their sorted member-index tuple and enumerated in
 lexicographic order of that tuple, which fixes the row ordering of the
 incidence matrices built on top of this module.
+
+The enumeration is one (r, q) integer array, `line_array()`, built with
+numpy from the field's addition and multiplication tables: per direction
+D, the q members of the line through every base point whose entry at D's
+leading position is 0, then one `np.lexsort` of the sorted rows.
+`line_index` looks lines up in it, and `lines()` builds `Line` objects
+from it only when asked.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .exceptions import (
     BadParametersError,
@@ -85,7 +94,6 @@ class SymSpace:
         self._coords = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
         self._pos = {c: k for k, c in enumerate(self._coords)}
         self._lines: tuple[Line, ...] | None = None
-        self._line_index: dict[tuple[int, ...], int] | None = None
 
     # -- points --------------------------------------------------------------
 
@@ -371,8 +379,14 @@ class SymSpace:
             for x in range(self.q)
         ))
 
-    def _line(self, members: tuple[int, ...], d_ent: tuple[int, ...]) -> Line:
-        index = self._line_index.get(members) if self._line_index is not None else None
+    def _line(self, members: tuple[int, ...], d_ent: tuple[int, ...], index=None) -> Line:
+        """The one place a Line is made.
+
+        Without an index, a line takes its canonical index when the space
+        has already enumerated its lines, else None.
+        """
+        if index is None and "_enumeration" in vars(self):
+            index = int(self.line_rows([members])[0])
         return Line(
             base=self.point_at(members[0]),
             points=members,
@@ -384,37 +398,86 @@ class SymSpace:
         """(q^n - 1)/(q - 1) * q^((n^2 + n - 2)/2), without enumerating."""
         return (self.q**self.n - 1) // (self.q - 1) * self.q ** ((self.n**2 + self.n - 2) // 2)
 
-    def lines(self) -> tuple[Line, ...]:
-        """All lines exactly once, ordered lexicographically by member tuple.
+    @cached_property
+    def _enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(members, direction numbers, keys) of every line, in canonical order.
 
         A line along D meets the points whose entry at D's leading position
-        k (where D has a 1) is 0 exactly once, at x = -S_k, so those q^(dim-1)
-        points enumerate the lines along D with no duplicates.
+        k (where D has a 1) is 0 exactly once, at x = -S_k, so those
+        q^(dim-1) base points enumerate the lines along D with no
+        duplicates.  Point entries are added and scaled through the field
+        tables as arrays.  The sorted rows are ordered by one lexsort, and
+        a line's key is first member * size + second member: two points fix
+        a line, so the keys ascend strictly with the rows.
         """
-        if self._lines is not None:
-            return self._lines
         total = self.line_count()
         if total > LINE_CAP:
             raise TooLargeError(f"{total} lines exceeds cap {LINE_CAP}")
-        collected = []
+        q, dim = self.q, self.dim
+        add = np.array(self.field.add_table, dtype=np.int64)
+        mul = np.array(self.field.mul_table, dtype=np.int64)
+        place = q ** np.arange(dim, dtype=np.int64)
+        # the other dim - 1 entries of every base point, least significant first
+        rest = np.arange(q ** (dim - 1), dtype=np.int64)[:, None] // place[: dim - 1] % q
+        blocks = []
         for d_ent in self.direction_entries():
-            lead = d_ent.index(1)
-            for rest in itertools.product(range(self.q), repeat=self.dim - 1):
-                base = rest[:lead] + (0,) + rest[lead:]
-                collected.append((self._line_members(base, d_ent), d_ent))
-        collected.sort()
-        self._line_index = {members: k for k, (members, _) in enumerate(collected)}
-        self._lines = tuple(self._line(members, d_ent) for members, d_ent in collected)
+            base = np.insert(rest, d_ent.index(1), 0, axis=1)
+            # entry e of base + x*D, for every base (rows) and x (columns)
+            points = add[base[:, None, :], mul[:, d_ent][None, :, :]]
+            blocks.append(points @ place)
+        members = np.sort(np.concatenate(blocks), axis=1)
+        dirs = np.repeat(np.arange(len(blocks)), len(rest))
+        order = np.lexsort(members.T[::-1])
+        members, dirs = members[order], dirs[order]
+        keys = members[:, 0] * self.size + members[:, 1]
+        for a in (members, dirs, keys):
+            a.flags.writeable = False
+        return members, dirs, keys
+
+    def line_array(self) -> np.ndarray:
+        """Sorted member indices of every line as a read-only (r, q) array; row k is line k."""
+        return self._enumeration[0]
+
+    def line_rows(self, members) -> np.ndarray:
+        """Canonical indices of the lines whose members are the rows of a (k, q) array.
+
+        A row may list its members in any order; a row that is not a line of
+        this space raises BadParametersError.
+        """
+        lines, _, keys = self._enumeration
+        want = np.asarray(members, dtype=np.int64)
+        if want.ndim != 2 or want.shape[1] != self.q:
+            raise BadParametersError(f"expected rows of {self.q} members, got shape {want.shape}")
+        want = np.sort(want, axis=1)
+        inside = ((want >= 0) & (want < self.size)).all(axis=1)
+        found = np.searchsorted(keys, want[:, 0] * self.size + want[:, 1])
+        found = np.minimum(found, len(keys) - 1)
+        bad = ~inside | (lines[found] != want).any(axis=1)
+        if bad.any():
+            row = tuple(want[np.argmax(bad)].tolist())
+            raise BadParametersError(f"{row} is not a line of this space")
+        return found
+
+    def lines(self) -> tuple[Line, ...]:
+        """All lines exactly once, ordered lexicographically by member tuple.
+
+        Built from `line_array()` on the first call and kept.
+        """
+        if self._lines is None:
+            members, dirs, _ = self._enumeration
+            d_ents = self.direction_entries()
+            self._lines = tuple(
+                self._line(tuple(row), d_ents[d], k)
+                for k, (row, d) in enumerate(zip(members.tolist(), dirs.tolist()))
+            )
         return self._lines
 
     def line_index(self, members) -> int:
         """Canonical index of the line with the given member indices."""
-        if self._lines is None:
-            self.lines()
         key = tuple(sorted(int(m) for m in members))
-        if key not in self._line_index:
+        if len(key) != self.q or not 0 <= key[0] <= key[-1] < self.size:
             raise BadParametersError(f"{key} is not a line of this space")
-        return self._line_index[key]
+        return int(self.line_rows([key])[0])
 
     def lines_through(self, s: SymPoint) -> list[Line]:
         """All (q^n - 1)/(q - 1) lines containing the given point."""

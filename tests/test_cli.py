@@ -1,13 +1,15 @@
+import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symldpc import build_h, codes, decode, gf2, incidence, rank_gf2, sim, sym_space
+from symldpc import build_h, codes, decode, field_of_size, gf2, incidence, rank_gf2, sim, sym_space
 from symldpc.cli import main, read_alist, write_alist
 from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
+from symldpc.symspace import SymSpace
 
 
 def test_alist_round_trip_built_instance(tmp_path):
@@ -112,6 +114,18 @@ def test_analyze_names_the_corrupted_alist_line(tmp_path, capsys, lineno, text):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{path}:{lineno}:" in err
+
+
+@pytest.mark.parametrize("lineno", [5, 13])
+def test_analyze_names_an_alist_index_past_64_bits(tmp_path, capsys, lineno):
+    path = tmp_path / "c22.alist"
+    write_alist(codes.make_code("symmetric", 2, 2).h, path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = lines[lineno - 1].replace("1", str(1 << 70), 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "--infile", str(path), "--checks", "rank"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{lineno}:") and err.count("\n") == 1
 
 
 def test_alist_allows_blank_lines_after_the_last_list(tmp_path):
@@ -265,6 +279,27 @@ def test_analyze_runs_one_tanner_bfs(tmp_path, capsys, monkeypatch):
     assert rc == 0
     assert (report["girth"]["value"], report["diameter"]["value"]) == (8, 6)
     assert len(calls) == 1
+
+
+def test_build_and_analyze_make_no_line_objects(tmp_path, capsys, monkeypatch):
+    # a fresh space, so no Line list cached by an earlier test can hide a call
+    fresh = functools.lru_cache(maxsize=None)(lambda n, q: SymSpace(n, field_of_size(q)))
+    monkeypatch.setattr(codes, "sym_space", fresh)
+
+    def no_line(*args, **kwargs):
+        raise AssertionError("a Line object was built")
+
+    monkeypatch.setattr(SymSpace, "_line", no_line)
+    out = tmp_path / "c33.alist"
+    assert codes.make_code("symmetric", 3, 3).h.nrows == 3159
+    assert main(["build", "--n", "3", "--q", "3", "--family", "symmetric", "--out", str(out)]) == 0
+    capsys.readouterr()
+    checks = "structure,girth,diameter,rank,witnesses"
+    assert main(["analyze", "--infile", str(out), "--checks", checks]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["witnesses"]["independent_rows"] == 3**3 * (3**3 - 2**3)
+    with pytest.raises(AssertionError, match="a Line object"):
+        fresh(3, 3).lines()
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from symldpc import (
     certified_min_distance,
     code_dimension,
     columns_sum_zero,
+    girth,
     is_stopping_set,
     make_code,
     min_distance,
@@ -506,9 +507,29 @@ def test_elimination_matches_oracle_on_count_instances(n, q, transpose):
 # -- the fast searches against their oracles -----------------------------------
 
 
+def girth_floor(h):
+    """The Tanner bound from h's girth and least column weight, at girth 6 or 8; else 0."""
+    g = girth(h)
+    return tanner_lower_bound(g, min(len(c) for c in h.col_support)) if g in (6, 8) else 0
+
+
+def floored(h, want):
+    """An oracle's result under the girth floor.
+
+    The floor is a proof, so an exact value never lies below it; where the
+    oracle finds nothing within the budget, the result is the floor when
+    that exceeds budget + 1.
+    """
+    floor = girth_floor(h)
+    if want.exact:
+        assert want.value >= floor
+        return want
+    return DistanceResult(max(want.value, floor), LOWER_BOUND_ONLY, None, METHOD_SUPPORT_SEARCH)
+
+
 def _assert_support_search_matches_oracle(h, budget):
     got = _support_search(h, budget)
-    want = reference_support_search(h, budget)
+    want = floored(h, reference_support_search(h, budget))
     assert (got.value, got.status) == (want.value, want.status)
     if got.exact:
         assert len(got.witness) == got.value
@@ -519,7 +540,7 @@ def _assert_support_search_matches_oracle(h, budget):
 
 def _assert_stopping_distance_matches_oracle(h, budget):
     got = stopping_distance(h, budget=budget)
-    want = reference_stopping_distance(h, budget=budget)
+    want = floored(h, reference_stopping_distance(h, budget=budget))
     assert (got.value, got.status) == (want.value, want.status)
     if got.exact:
         assert len(got.witness) == got.value
@@ -605,8 +626,41 @@ def test_support_search_meets_the_transpose_certificate(q):
 
 
 def test_min_distance_of_ct28_at_the_default_budget():
+    # girth 8 and column weight 8 put every codeword at 16 or more, above budget 6
     d = min_distance(make_code(FAMILY_TRANSPOSE, 2, 8).h)
-    assert (d.value, d.status, d.method) == (7, "lower_bound_only", "support_search")
+    assert (d.value, d.status, d.method) == (16, "lower_bound_only", "support_search")
+
+
+@pytest.mark.parametrize(
+    "family, n, q, floor",
+    [(FAMILY_SYMMETRIC, 2, 8, 18), (FAMILY_TRANSPOSE, 2, 8, 16), (FAMILY_SYMMETRIC, 3, 4, 42)],
+)
+def test_a_budget_below_the_girth_floor_reports_the_floor(family, n, q, floor):
+    h = make_code(family, n, q).h
+    assert girth_floor(h) == floor
+    for budget in (1, floor - 2, floor - 1):
+        res = stopping_distance(h, budget=budget)
+        assert (res.value, res.status, res.witness) == (floor, LOWER_BOUND_ONLY, None)
+    # one more than the budget when that is larger: budget + 1 is proved too
+    res = _support_search(h, budget=floor - 1)
+    assert (res.value, res.status) == (floor, LOWER_BOUND_ONLY)
+
+
+def test_stopping_distance_of_c28_below_the_floor_returns_at_once():
+    # it searched past 150 s before the floor
+    h = make_code(FAMILY_SYMMETRIC, 2, 8).h
+    res = stopping_distance(h, budget=16)
+    assert (res.value, res.status) == (18, LOWER_BOUND_ONLY)
+
+
+def test_a_set_of_the_floor_size_ends_the_search(monkeypatch):
+    # root 0 reaches the triangle {0, 1, 2} first; the pair {3, 4} is smaller
+    h = SparseBitMatrix.from_rows(4, 5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    assert girth_floor(h) == 2  # girth 6, columns 3 and 4 of weight 1
+    assert stopping_distance(h).witness == frozenset({3, 4})
+    # a floor of 3 would end the search at the triangle
+    monkeypatch.setattr(gf2, "_girth_floor", lambda h: 3)
+    assert stopping_distance(h).witness == frozenset({0, 1, 2})
 
 
 def test_ct24_distances_exact_at_budget_eight(ct24):

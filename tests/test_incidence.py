@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -296,6 +297,44 @@ def all_roots_bfs(h):
         depth += 1
     full = (1 << nverts) - 1
     return best, depth if all(s == full for s in seen) else INF
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 70 x 70 with at most 3 entries per row: forests, several
+    components, empty rows and empty columns all come up, and up to 140
+    vertices make a block of every root span three uint64 words."""
+    nrows = draw(st.integers(0, 70))
+    ncols = draw(st.integers(0, 70))
+    rows = [
+        sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=3)) if ncols else [])
+        for _ in range(nrows)
+    ]
+    return SparseBitMatrix.from_rows(nrows, ncols, rows)
+
+
+def _ring(length):
+    """A cycle of 2 * length Tanner vertices: row i holds columns i and i + 1 mod length."""
+    return [sorted({i, (i + 1) % length}) for i in range(length)]
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+@example(SparseBitMatrix.from_rows(0, 0, []))
+@example(SparseBitMatrix.from_rows(70, 0, [()] * 70))  # 70 isolated rows
+# a forest of 40 paths plus 30 empty columns
+@example(SparseBitMatrix.from_rows(40, 70, [(2 * i, 2 * i + 1) for i in range(35)] + [()] * 5))
+# an 80-vertex ring, a 60-vertex ring and 10 empty columns: girth 60, disconnected
+@example(SparseBitMatrix.from_rows(
+    70, 80, _ring(40) + [tuple(40 + j for j in r) for r in _ring(30)]))
+# one 140-vertex ring: girth 140, diameter 70, roots in three words
+@example(SparseBitMatrix.from_rows(70, 70, _ring(70)))
+def test_word_bfs_from_every_root_matches_the_int_bfs(h):
+    want = all_roots_bfs(h)
+    roots = tuple(range(h.nrows + h.ncols))
+    for block in (1, 63, 64, 65, incidence.ROOT_BLOCK):
+        with mock.patch.object(incidence, "ROOT_BLOCK", block):
+            assert incidence._rooted_bfs(h, roots) == want
 
 
 def reference_overlap(h):

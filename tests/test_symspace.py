@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from symldpc.exceptions import (
     EmptyInputError,
     NotAdjacentError,
     NotInvertibleError,
+    TooLargeError,
 )
 
 from test_acceptance import _all_graph_distances
@@ -300,6 +303,61 @@ def test_lines_match_filter_enumeration(n, q):
     assert got == want
 
 
+def per_direction_lines(sp):
+    """The per-line enumeration that the member array replaced, kept as the oracle.
+
+    For each direction D and each point S whose entry at D's leading
+    position is 0, the members of {S + x*D} are added up one entry at a
+    time through the field tables; the member tuples are then sorted.
+    """
+    add, mul = sp.field.add_table, sp.field.mul_table
+    place = [sp.q**k for k in range(sp.dim)]
+    collected = []
+    for d_ent in sp.direction_entries():
+        lead = d_ent.index(1)
+        for rest in itertools.product(range(sp.q), repeat=sp.dim - 1):
+            base = rest[:lead] + (0,) + rest[lead:]
+            collected.append(tuple(sorted(
+                sum(add[a][mul[x][b]] * w for a, b, w in zip(base, d_ent, place))
+                for x in range(sp.q)
+            )))
+    collected.sort()
+    return collected
+
+
+# n = 3 stops at q = 5: q = 7 and 8 have 0.96 and 2.4 million lines, which the
+# oracle would take minutes over, and q = 9 is past LINE_CAP
+@pytest.mark.parametrize(
+    "n,q",
+    [(n, q) for n in (1, 2, 3) for q in (2, 3, 4, 5, 7, 8, 9) if n < 3 or q <= 5],
+)
+def test_line_array_matches_per_direction_enumeration(n, q):
+    sp = SymSpace(n, field_of_size(q))
+    lines = sp.line_array()
+    assert lines.shape == (sp.line_count(), q)
+    assert lines.tolist() == [list(m) for m in per_direction_lines(sp)]
+    assert not lines.flags.writeable
+
+
+def test_line_array_refuses_more_lines_than_the_cap():
+    with pytest.raises(TooLargeError):
+        SymSpace(3, field_of_size(9)).line_array()
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 3)])
+def test_line_rows_finds_every_line_in_any_member_order(n, q):
+    sp = sym_space(n, q)
+    lines = sp.line_array()
+    shuffled = np.random.default_rng(7).permuted(lines, axis=1)
+    assert sp.line_rows(shuffled).tolist() == list(range(len(lines)))
+    # two points of a line with the rest of another are no line
+    mixed = np.concatenate([lines[0, :2], lines[1, 2:]])
+    with pytest.raises(BadParametersError, match="not a line"):
+        sp.line_rows([mixed])
+    with pytest.raises(BadParametersError, match="not a line"):
+        sp.line_rows([[sp.size + k for k in range(q)]])
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_lines_through_and_line_through_agree_with_lines(n, q):
     sp = sym_space(n, q)
@@ -316,17 +374,17 @@ def test_lines_through_and_line_through_agree_with_lines(n, q):
             assert sp.line_through(s, other).index == ln.index
 
 
-def test_line_index_enumerates_lines_once_on_a_fresh_space():
+def test_line_index_enumerates_lines_once_on_a_fresh_space(monkeypatch):
+    lines = sym_space(2, 3).lines()
     sp = SymSpace(2, field_of_size(3))
     calls = []
-    enumerate_lines = sp.lines
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
 
-    def counting_lines():
-        calls.append(1)
-        return enumerate_lines()
+    def no_lines():
+        raise AssertionError("line_index built Line objects")
 
-    sp.lines = counting_lines
-    lines = sym_space(2, 3).lines()
+    sp.lines = no_lines
     for ln in lines:
         assert sp.line_index(reversed(ln.points)) == ln.index
     assert len(calls) == 1
