@@ -13,8 +13,8 @@ Single-space separation, every line newline-terminated.  `build` writes a
 sidecar JSON metadata file next to the alist.  `analyze` and `simulate`
 work on one `codes.CodeSpec`, made by `_load_code`: from the alist, with
 family, n and q taken from the flags or else the sidecar, or by
-`make_code` from the flags.  `analyze` reports the transpose family's
-distances from the codes certificates and searches otherwise.  All
+`make_code` from the flags.  `analyze` seeds both distance searches with
+`codes.family_witness`, which the searches check.  All
 simulate output is the fixed CSV schema from `sim`.  Bad input (files,
 sidecar values, sweep items) ends in one `error:` line and exit status 1.
 
@@ -215,12 +215,11 @@ def _run_check(check: str, code: codes.CodeSpec, budget: int | None) -> dict:
     if check == "rank":
         return {"status": "ok", "value": code.length - code.dimension, "dimension": code.dimension}
     if check == "mindist":
-        res = codes.certified_min_distance(code)
         budgets = {} if budget is None else {"budget": budget}
-        return _distance_entry(res or gf2.min_distance(h, **budgets))
+        return _distance_entry(gf2.min_distance(h, seed=codes.family_witness(code), **budgets))
     if check == "stopdist":
-        res = codes.certified_stopping_distance(code)
-        return _distance_entry(res or gf2.stopping_distance(h, budget=budget))
+        seed = codes.family_witness(code)
+        return _distance_entry(gf2.stopping_distance(h, budget=budget, seed=seed))
     if check == "witnesses":
         return _witness_check(code)
     raise AssertionError(check)

@@ -8,10 +8,9 @@ The explicit witness constructions certify distances directly:
 `ctranspose_witness` returns 2q lines whose transpose columns sum to zero,
 and `c2q_witness` returns 4q points (square field sizes only) met by every
 line in 0 or 2 positions; `family_witness` says which one fits a code.
-`certified_min_distance` and `certified_stopping_distance` meet the
-transpose witness with the girth-8 bound.  `independent_row_family`
-selects rows that are provably independent, which pins the rank from
-below.
+A witness seeds the `gf2` distance searches, as `certified_min_distance`
+and `certified_stopping_distance` do.  `independent_row_family` selects
+rows that are provably independent, which pins the rank from below.
 """
 
 from __future__ import annotations
@@ -226,46 +225,16 @@ def family_witness(code: CodeSpec) -> frozenset[int] | None:
     return witness
 
 
-def _certify(code: CodeSpec, holds) -> gf2.DistanceResult | None:
-    """Exact distance by witness plus girth bound, where the two meet.
-
-    For the transpose family at girth 8, the tree bound of Orlitsky,
-    Urbanke, Viswanathan and Zhang (ISIT 2002) gives d >= s >= 2 * gamma
-    for h's minimum column weight gamma, and the 2q-line witness meets it.
-    Only the witness depends on family, n and q; the girth, the bound and
-    `holds(h, witness)` come from h, so metadata that does not fit h is
-    refused.  The family is tested before the costly girth.  None when no
-    certificate applies.
-    """
-    witness = family_witness(code) if code.family == FAMILY_TRANSPOSE else None
-    if witness is None or code.girth != 8:
-        return None
-    bound = gf2.tanner_lower_bound(8, min(len(c) for c in code.h.col_support))
-    if len(witness) != bound or not holds(code.h, witness):
-        raise StructureViolationError(
-            f"{code.code_id}: witness of {len(witness)} columns does not certify "
-            f"the girth bound {bound}"
-        )
-    return gf2.DistanceResult(
-        value=bound,
-        status=gf2.EXACT,
-        witness=witness,
-        method=gf2.METHOD_WITNESS_PLUS_BOUND,
-    )
-
-
 def certified_min_distance(code: CodeSpec) -> gf2.DistanceResult | None:
-    """Exact minimum distance of a transpose-family code: its witness columns sum to zero."""
-    return _certify(code, gf2.columns_sum_zero)
+    """`gf2.min_distance` seeded with a transpose-family code's witness; else None."""
+    witness = family_witness(code) if code.family == FAMILY_TRANSPOSE else None
+    return None if witness is None else gf2.min_distance(code.h, seed=witness)
 
 
 def certified_stopping_distance(code: CodeSpec) -> gf2.DistanceResult | None:
-    """Exact stopping distance of a transpose-family code.
-
-    A codeword's support is a stopping set, so the same 2q-line witness
-    is checked with `gf2.is_stopping_set`.
-    """
-    return _certify(code, gf2.is_stopping_set)
+    """`gf2.stopping_distance` seeded with the same witness, a codeword's support; else None."""
+    witness = family_witness(code) if code.family == FAMILY_TRANSPOSE else None
+    return None if witness is None else gf2.stopping_distance(code.h, seed=witness)
 
 
 def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpec:

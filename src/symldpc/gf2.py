@@ -14,7 +14,8 @@ rows still open needs at least ceil(L / gamma_max) more columns.  A row
 is open while it is hit an odd number of times for a codeword, and
 exactly once for a stopping set.  Both searches take the Tanner bound of
 h's girth (`tanner_lower_bound`, at girth 6 or 8) as a floor: a budget
-below it is answered without searching.  Exactness is explicit:
+below it is answered without searching, and a checked seed of its size
+(a family's witness) is exact at once.  Exactness is explicit:
 DistanceResult.status says whether a search exhausted everything below
 the reported value or only proved a lower bound within its budget.
 """
@@ -27,7 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import StructureViolationError, TooLargeError, UnsupportedGirthError, check_integer
+from .exceptions import BadParametersError, StructureViolationError, TooLargeError
+from .exceptions import UnsupportedGirthError, check_integer
 from .incidence import SparseBitMatrix, girth
 
 # full codeword enumeration is used when the code dimension is at most this
@@ -146,7 +148,10 @@ def null_space_basis(h: SparseBitMatrix) -> np.ndarray:
 
 
 def _row_hits(h: SparseBitMatrix, cols) -> Counter:
-    """How often each row is hit, counted from the columns' own supports."""
+    """How often each row is hit, from the columns' supports; a column outside h is refused."""
+    cols = list(cols)
+    if outside := [j for j in cols if not 0 <= j < h.ncols]:
+        raise BadParametersError(f"column {outside[0]} is outside the {h.ncols} columns of h")
     return Counter(chain.from_iterable(h.col_support[j] for j in cols))
 
 
@@ -194,7 +199,19 @@ def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:
     return best_w, best_cw
 
 
-def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> DistanceResult:
+def _checked_seed(h: SparseBitMatrix, seed, holds, least: int) -> tuple[int, ...] | None:
+    """The seed as a tuple; refused unless `least` or more distinct columns pass `holds`."""
+    if seed is None:
+        return None
+    seed = tuple(seed)
+    if not seed or len(set(seed)) < len(seed) or len(seed) < least or not holds(h, seed):
+        raise StructureViolationError(
+            f"seed {sorted(seed)} is not {least} or more distinct columns passing {holds.__name__}"
+        )
+    return seed
+
+
+def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds, seed) -> DistanceResult:
     """Smallest nonempty column set of at most budget columns with no open row.
 
     A row is open while the set still needs another of its columns: each
@@ -217,8 +234,15 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
     both searches from below: a budget under it returns the floor (or
     budget + 1, if larger) as lower_bound_only without searching, and a
     set of the floor's size ends the search at once.
+
+    A `seed`, a claimed wanted set checked against the floor, is exact at
+    once at the floor's size, at any budget (`witness_plus_bound`); with at
+    most budget + 1 columns it is the first best set to beat.
     """
     floor = _girth_floor(h)
+    seed = _checked_seed(h, seed, holds, floor)
+    if seed is not None and len(seed) == floor:
+        return DistanceResult(floor, EXACT, frozenset(seed), METHOD_WITNESS_PLUS_BOUND)
     if budget < floor:
         return DistanceResult(
             value=max(floor, budget + 1),
@@ -234,6 +258,8 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
     open_rows = 0  # bit i is set while row i is open
     bound = budget + 1  # only supports smaller than this are still wanted
     best: tuple[int, ...] | None = None
+    if seed is not None and len(seed) <= bound:
+        bound, best = len(seed), seed
 
     for j0 in range(h.ncols):
         if bound <= max(floor, 1):
@@ -301,7 +327,8 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds) -> Dis
 def _girth_floor(h: SparseBitMatrix) -> int:
     """`tanner_lower_bound` from h's girth and least column weight, else 0.
 
-    It applies at girth 6 or 8, and not when the Tanner BFS refuses h
+    This is the tree bound of Orlitsky, Urbanke, Viswanathan and Zhang
+    (ISIT 2002).  It applies at girth 6 or 8, and not when the BFS refuses h
     (`incidence.VERTEX_CAP`).  The girth is h's cached one.
     """
     try:
@@ -313,28 +340,33 @@ def _girth_floor(h: SparseBitMatrix) -> int:
     return tanner_lower_bound(girth_value, min(len(c) for c in h.col_support))
 
 
-def _support_search(h: SparseBitMatrix, budget: int) -> DistanceResult:
+def _support_search(h: SparseBitMatrix, budget: int, seed=None) -> DistanceResult:
     """Lightest nonempty column set summing to zero, of weight at most budget.
 
     Exact when one is found, since every lighter set was exhausted first;
     otherwise a lower bound of budget + 1.
     """
     budget = check_integer("budget", budget, 1)
-    return _smallest_support(h, budget, h.ncols + 1, columns_sum_zero)
+    return _smallest_support(h, budget, h.ncols + 1, columns_sum_zero, seed)
 
 
-def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
+def min_distance(h: SparseBitMatrix, budget: int = 6, seed=None) -> DistanceResult:
     """Exact minimum distance when feasible, else a budgeted support search.
 
-    With code dimension <= ENUM_DIM_CAP every nonzero codeword is
-    enumerated from a null-space basis (always exact).  Above the cap, the
-    branch and bound of `_smallest_support` looks for the lightest
-    codeword support of weight up to `budget`; a hit at weight w is exact
-    because all smaller weights were exhausted first.
+    A `seed` (a claimed codeword support) no larger than the girth floor
+    goes to `_smallest_support` before any elimination.  Otherwise, with
+    code dimension <= ENUM_DIM_CAP every nonzero codeword is enumerated
+    from a null-space basis (always exact; the seed is only checked).
+    Above the cap, the branch and bound of `_smallest_support` looks from
+    the seed for the lightest codeword support up to weight `budget`; a hit
+    at weight w is exact because all smaller weights were exhausted first.
     """
     budget = check_integer("budget", budget, 1)
+    if seed is not None and len(seed) <= _girth_floor(h):
+        return _support_search(h, budget, seed)
     echelon, pivots = _reduced(h)
     k = h.ncols - len(pivots)
+    _checked_seed(h, seed, columns_sum_zero, 1)  # a seed here is above the floor
     if k == 0:
         # only the zero codeword; report the conventional n + 1 sentinel
         return DistanceResult(
@@ -349,23 +381,23 @@ def min_distance(h: SparseBitMatrix, budget: int = 6) -> DistanceResult:
         return DistanceResult(
             value=w, status=EXACT, witness=witness, method=METHOD_ENUMERATION
         )
-    return _support_search(h, budget)
+    return _support_search(h, budget, seed)
 
 
-def stopping_distance(h: SparseBitMatrix, budget: int | None = None) -> DistanceResult:
+def stopping_distance(h: SparseBitMatrix, budget: int | None = None, seed=None) -> DistanceResult:
     """Smallest nonempty column set meeting every row in 0 or >= 2 positions.
 
-    The branch and bound of `_smallest_support` with the rows hit exactly
-    once open; without a budget it searches up to every column.
+    The branch and bound of `_smallest_support` from `seed`, with the rows
+    hit exactly once open; without a budget it searches up to every column.
     """
     if budget is not None:
         budget = check_integer("budget", budget, 1)
-    if h.ncols == 0:
+    if h.ncols == 0 and seed is None:
         # no nonempty column set; report min_distance's n + 1 sentinel
         return DistanceResult(
             value=1, status=EXACT, witness=None, method=METHOD_SUPPORT_SEARCH
         )
-    return _smallest_support(h, h.ncols if budget is None else budget, 2, is_stopping_set)
+    return _smallest_support(h, h.ncols if budget is None else budget, 2, is_stopping_set, seed)
 
 
 def tanner_lower_bound(girth_value: int, col_weight: int) -> int:

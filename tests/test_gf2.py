@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -15,9 +16,11 @@ from symldpc import (
     FAMILY_TRANSPOSE,
     SparseBitMatrix,
     build_h,
+    c2q_witness,
     certified_min_distance,
     code_dimension,
     columns_sum_zero,
+    ctranspose_witness,
     girth,
     is_stopping_set,
     make_code,
@@ -29,6 +32,7 @@ from symldpc import (
     tanner_lower_bound,
 )
 from symldpc import gf2
+from symldpc.codes import family_witness
 from symldpc.exceptions import (
     BadParametersError,
     StructureViolationError,
@@ -38,6 +42,7 @@ from symldpc.gf2 import (
     EXACT,
     LOWER_BOUND_ONLY,
     METHOD_SUPPORT_SEARCH,
+    METHOD_WITNESS_PLUS_BOUND,
     DistanceResult,
     _support_search,
 )
@@ -364,6 +369,16 @@ def test_stopping_at_most_min_distance(ct22, ct23, c22):
 def test_codeword_support_is_stopping_set(ct22):
     d = min_distance(ct22.h)
     assert is_stopping_set(ct22.h, d.witness)
+
+
+@pytest.mark.parametrize("shift", [-12, 12])
+@pytest.mark.parametrize("check", [columns_sum_zero, is_stopping_set])
+def test_support_checks_refuse_a_column_outside_h(ct22, check, shift):
+    # shifted by -12, CT(2,2)'s witness would wrap onto itself and pass
+    witness = ctranspose_witness(2, 2)
+    assert check(ct22.h, witness)
+    with pytest.raises(BadParametersError, match="outside the 12 columns"):
+        check(ct22.h, [j + shift for j in witness])
 
 
 def test_tanner_lower_bound():
@@ -751,3 +766,91 @@ def test_support_search_witnesses_keep_their_branching_order(family, n, q, searc
     # tries columns in; these are the witnesses of the recursive search
     res = search(make_code(family, n, q).h, budget)
     assert (res.value, res.status, sorted(res.witness)) == (len(witness), "exact", witness)
+
+
+SEARCHES = {
+    "codeword": (_support_search, columns_sum_zero),
+    "stopping": (stopping_distance, is_stopping_set),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize(
+    "name, budget, witness",
+    [("c22", 8, None), ("ct22", 8, None), ("ct23", 8, None), ("ct24", 8, None),
+     ("c24", 16, c2q_witness(4))],
+)
+def test_seeded_and_unseeded_searches_agree(name, budget, witness, search, request):
+    code = request.getfixturevalue(name)
+    seed = family_witness(code) if witness is None else witness
+    run, holds = SEARCHES[search]
+    seeded, plain = run(code.h, budget, seed=seed), run(code.h, budget)
+    assert (seeded.value, seeded.status) == (plain.value, plain.status) == (len(seed), EXACT)
+    assert holds(code.h, seeded.witness)
+    at_floor = len(seed) == girth_floor(code.h)
+    assert seeded.method == (METHOD_WITNESS_PLUS_BOUND if at_floor else METHOD_SUPPORT_SEARCH)
+    assert min_distance(code.h, budget, seed=seed).value == min_distance(code.h, budget).value
+
+
+@pytest.mark.parametrize("q", [5, 8])
+@pytest.mark.parametrize("search", [min_distance, stopping_distance])
+def test_a_seed_at_the_floor_is_exact_at_once(q, search):
+    # unseeded, the stopping search took 8.4 s to reach 10 on CT(2,5) and ran
+    # past 90 s on CT(2,8)
+    h = make_code(FAMILY_TRANSPOSE, 2, q).h
+    start = time.perf_counter()
+    res = search(h, seed=ctranspose_witness(2, q))
+    assert time.perf_counter() - start < 1.0
+    assert (res.value, res.status, res.method) == (2 * q, EXACT, METHOD_WITNESS_PLUS_BOUND)
+    assert res.witness == ctranspose_witness(2, q)
+
+
+def test_a_seed_at_the_floor_needs_no_elimination(monkeypatch):
+    # the floor check comes before the elimination, which CT(3,5) would pay 172 s for
+    h = make_code(FAMILY_TRANSPOSE, 3, 4).h
+
+    def refuse(h):
+        raise AssertionError("min_distance eliminated before reading the seed")
+
+    monkeypatch.setattr(gf2, "_echelon", refuse)
+    res = min_distance(h, seed=ctranspose_witness(3, 4))
+    assert (res.value, res.status, res.method) == (8, EXACT, METHOD_WITNESS_PLUS_BOUND)
+
+
+@pytest.mark.parametrize("search", [_support_search, stopping_distance])
+def test_a_seed_past_the_budget_keeps_the_budget(c24, search):
+    # C(2,4)'s 16-point witness: at budget 12 it is not used, at budget 15
+    # it is the one set left once every smaller one is ruled out
+    seed = c2q_witness(4)
+    res = search(c24.h, 12, seed=seed)
+    assert (res.value, res.status, res.witness) == (13, LOWER_BOUND_ONLY, None)
+    res = search(c24.h, 15, seed=seed)
+    assert (res.value, res.status, res.method) == (16, EXACT, METHOD_SUPPORT_SEARCH)
+    assert search(c24.h, 15).status == LOWER_BOUND_ONLY
+
+
+@pytest.mark.parametrize("search", [min_distance, _support_search, stopping_distance])
+def test_a_bad_seed_is_refused(ct23, search, monkeypatch):
+    # empty, a repeated column, below the floor, failing the check
+    witness = sorted(ctranspose_witness(2, 3))
+    for seed in ([], witness + witness[:1], witness[1:], list(range(6))):
+        with pytest.raises(StructureViolationError, match="seed"):
+            search(ct23.h, 8, seed=seed)
+    # the witness passes both checks, so only the floor refuses it here
+    monkeypatch.setattr(gf2, "_girth_floor", lambda h: 7)
+    with pytest.raises(StructureViolationError, match="7 or more"):
+        search(ct23.h, 8, seed=witness)
+
+
+def test_a_seed_is_checked_where_there_is_nothing_to_search():
+    # no column, or no nonzero codeword: no seed can hold, and none is passed over
+    no_columns = SparseBitMatrix.from_rows(2, 0, [(), ()])
+    for search in (min_distance, stopping_distance):
+        with pytest.raises(BadParametersError, match="outside the 0 columns"):
+            search(no_columns, seed=[0])
+    with pytest.raises(StructureViolationError, match="seed"):
+        stopping_distance(no_columns, seed=[])
+    full_rank = _matrix_from_dense(np.eye(3, dtype=int))
+    assert min_distance(full_rank).value == 4
+    with pytest.raises(StructureViolationError, match="seed"):
+        min_distance(full_rank, seed=[0])

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import re
 from collections import Counter
 from pathlib import Path
@@ -142,3 +143,36 @@ def test_alist_writer_reproduces_the_file_it_reads(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(written)]) == 0
     write_alist(read_alist(written), rewritten)
     assert rewritten.read_bytes() == written.read_bytes()
+
+
+# code id -> (build flags, extra analyze flags); the expected reports are
+# committed in analyze_golden.json
+ANALYZE_GOLDEN_CASES = {
+    "C(2,2)": (["--family", "symmetric", "--n", "2", "--q", "2"], []),
+    "CT(2,2)": (["--family", "symmetric_transpose", "--n", "2", "--q", "2"], []),
+    "C(2,3)": (["--family", "symmetric", "--n", "2", "--q", "3"], []),
+    "CT(2,3)": (["--family", "symmetric_transpose", "--n", "2", "--q", "3"], []),
+    "C(2,4) distances, budget 16": (
+        ["--family", "symmetric", "--n", "2", "--q", "4"],
+        ["--checks", "mindist,stopdist", "--budget", "16"],
+    ),
+    "CT(2,8) distances": (
+        ["--family", "symmetric_transpose", "--n", "2", "--q", "8"],
+        ["--checks", "mindist,stopdist"],
+    ),
+}
+ANALYZE_GOLDEN = Path(__file__).with_name("analyze_golden.json")
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_GOLDEN_CASES))
+def test_analyze_prints_the_golden_report(tmp_path, capsys, case):
+    # the report format and every value in it are fixed: a change to how the
+    # distances are certified must not move a byte
+    from symldpc.cli import main
+
+    build_flags, analyze_flags = ANALYZE_GOLDEN_CASES[case]
+    alist = tmp_path / "h.alist"
+    assert main(["build", *build_flags, "--out", str(alist)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--infile", str(alist), *analyze_flags]) == 0
+    assert capsys.readouterr().out == json.loads(ANALYZE_GOLDEN.read_text())[case]
