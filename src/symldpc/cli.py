@@ -14,9 +14,10 @@ sidecar JSON metadata file next to the alist.  `analyze` and `simulate`
 work on one `codes.CodeSpec`, made by `_load_code`: from the alist, with
 family, n and q taken from the flags or else the sidecar, or by
 `make_code` from the flags.  `analyze` seeds both distance searches with
-`codes.family_witness`, which the searches check.  All
-simulate output is the fixed CSV schema from `sim`.  Bad input (files,
-sidecar values, sweep items) ends in one `error:` line and exit status 1.
+`CodeSpec.witness`, which the searches check; it is built at most once per
+run, by the first check that needs it.  All simulate output is the fixed
+CSV schema from `sim`.  Bad input (files, sidecar values, sweep items)
+ends in one `error:` line and exit status 1.
 
 `build_parser` is the one description of the flags: their names, defaults,
 choices and which are required.  Each subcommand handler takes the parsed
@@ -216,10 +217,9 @@ def _run_check(check: str, code: codes.CodeSpec, budget: int | None) -> dict:
         return {"status": "ok", "value": code.length - code.dimension, "dimension": code.dimension}
     if check == "mindist":
         budgets = {} if budget is None else {"budget": budget}
-        return _distance_entry(gf2.min_distance(h, seed=codes.family_witness(code), **budgets))
+        return _distance_entry(gf2.min_distance(h, seed=code.witness, **budgets))
     if check == "stopdist":
-        seed = codes.family_witness(code)
-        return _distance_entry(gf2.stopping_distance(h, budget=budget, seed=seed))
+        return _distance_entry(gf2.stopping_distance(h, budget=budget, seed=code.witness))
     if check == "witnesses":
         return _witness_check(code)
     raise AssertionError(check)
@@ -237,7 +237,7 @@ def _witness_check(code: codes.CodeSpec) -> dict:
             "detail": "witness checks need a symmetric-family alist with --family/--n/--q",
         }
     out: dict = {"status": "pass"}
-    witness = codes.family_witness(code)
+    witness = code.witness
     if witness is not None:
         ok = gf2.columns_sum_zero(h, witness)
         out["dependent_columns"] = sorted(witness)

@@ -6,8 +6,9 @@ determines (length, dimension, girth, row/column labels) is derived from
 it on demand.  `make_code` wraps an incidence matrix (or its transpose).
 The explicit witness constructions certify distances directly:
 `ctranspose_witness` returns 2q lines whose transpose columns sum to zero,
-and `c2q_witness` returns 4q points (square field sizes only) met by every
-line in 0 or 2 positions; `family_witness` says which one fits a code.
+and `c2q_witness` returns 4q points (even q only) met by every
+line in 0 or 2 positions; `family_witness` says which one fits a code,
+and `CodeSpec.witness` builds it once per code, on first use.
 A witness seeds the `gf2` distance searches, as `certified_min_distance`
 and `certified_stopping_distance` do.  `independent_row_family` selects
 rows that are provably independent, which pins the rank from below.
@@ -81,6 +82,11 @@ class CodeSpec:
             return {"rows": "points", "cols": "lines"}
         return None
 
+    @cached_property
+    def witness(self) -> frozenset[int] | None:
+        """`family_witness(self)`, built on first use and kept."""
+        return family_witness(self)
+
     @property
     def girth(self):
         """Girth of the Tanner graph of h (computed once per matrix, on demand)."""
@@ -125,30 +131,22 @@ def ctranspose_witness(n: int, q: int) -> frozenset[int]:
 def c2q_witness(q: int) -> frozenset[int]:
     """4q point indices met by every line in 0 or 2 positions (n = 2, q = 2^m).
 
-    Built from the powers t = alpha^(i-2) of the designated primitive
-    element: the points (1, t, t^2), (0, t, t^2 + 1), (0, t, t^2),
-    (1, t, t^2 + 1) together with the four corner diagonals.  Each column
-    pair cancels on every line, so the columns are dependent over GF(2).
+    The points are the corners (a, t, c) for a in {0, 1}, t in GF(q) and
+    c in {t^2, t^2 + 1}; t = 0 gives the four corner diagonals.  They are
+    built as one array through the field tables, and each line is checked
+    to meet them in 0 or 2 points, so the columns are dependent over GF(2).
     """
     fld = field_of_size(q)
     if fld.p != 2:
         raise BadCharacteristicError(f"construction needs characteristic 2, got {fld.p}")
     space = sym_space(2, q)
-    mul = fld.mul_table
-    add = fld.add_table
-    pts = {
-        space.corner(1, 0, 0).index,
-        space.corner(0, 0, 1).index,
-        space.corner(0, 0, 0).index,
-        space.corner(1, 0, 1).index,
-    }
-    for t in fld.primitive_powers():
-        t2 = mul[t][t]
-        t2p1 = add[t2][1]
-        pts.add(space.corner(1, t, t2).index)
-        pts.add(space.corner(0, t, t2p1).index)
-        pts.add(space.corner(0, t, t2).index)
-        pts.add(space.corner(1, t, t2p1).index)
+    add, mul, place = space._tables
+    t = np.arange(q)
+    squares = mul[t, t]
+    corners = [
+        np.stack([np.full(q, a), t, c], axis=1) for a in (0, 1) for c in (squares, add[squares, 1])
+    ]
+    pts = set((np.concatenate(corners) @ place).tolist())
     if len(pts) != 4 * q:
         raise StructureViolationError(f"c2q witness has {len(pts)} points, expected 4q")
     marked = np.zeros(space.size, dtype=bool)
@@ -227,13 +225,13 @@ def family_witness(code: CodeSpec) -> frozenset[int] | None:
 
 def certified_min_distance(code: CodeSpec) -> gf2.DistanceResult | None:
     """`gf2.min_distance` seeded with a transpose-family code's witness; else None."""
-    witness = family_witness(code) if code.family == FAMILY_TRANSPOSE else None
+    witness = code.witness if code.family == FAMILY_TRANSPOSE else None
     return None if witness is None else gf2.min_distance(code.h, seed=witness)
 
 
 def certified_stopping_distance(code: CodeSpec) -> gf2.DistanceResult | None:
     """`gf2.stopping_distance` seeded with the same witness, a codeword's support; else None."""
-    witness = family_witness(code) if code.family == FAMILY_TRANSPOSE else None
+    witness = code.witness if code.family == FAMILY_TRANSPOSE else None
     return None if witness is None else gf2.stopping_distance(code.h, seed=witness)
 
 
@@ -256,15 +254,9 @@ def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpe
     band_rows = length // row_wt
     nrows = band_rows * col_wt
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows: list[tuple[int, ...]] = []
-    for band in range(col_wt):
-        if band == 0:
-            perm = np.arange(length)
-        else:
-            perm = rng.permutation(length)
-        for r in range(band_rows):
-            rows.append(tuple(sorted(int(c) for c in perm[r * row_wt : (r + 1) * row_wt])))
-    h = SparseBitMatrix.from_rows(nrows, length, rows)
+    perms = [np.arange(length)] + [rng.permutation(length) for _ in range(col_wt - 1)]
+    rows = np.sort(np.concatenate(perms).reshape(nrows, row_wt), axis=1)
+    h = SparseBitMatrix.from_flat(nrows, length, rows, np.full(nrows, row_wt))
     if any(len(c) != col_wt for c in h.col_support):
         raise StructureViolationError(f"band ensemble column weight is not {col_wt}")
     return CodeSpec(family=FAMILY_GALLAGER, h=h, code_id=f"G({length},{col_wt},{row_wt},s{seed})")

@@ -66,18 +66,20 @@ class SparseBitMatrix:
         weights = np.asarray(weights, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64).ravel()
         if len(weights) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(weights)}")
+            raise BadParametersError(f"expected {nrows} rows, got {len(weights)}")
         if (weights < 0).any() or weights.sum() != len(indices):
-            raise ValueError(f"row weights sum to {weights.sum()}, not the {len(indices)} indices")
+            raise BadParametersError(
+                f"row weights sum to {weights.sum()}, not the {len(indices)} indices"
+            )
         row_of = np.repeat(np.arange(nrows), weights)
         # a fall inside a row (not at a row's first entry) breaks its order
         falls = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
         falls = falls[row_of[falls] == row_of[falls - 1]]
         outside = np.flatnonzero((indices < 0) | (indices >= ncols))
         if len(falls):
-            raise ValueError(f"row {row_of[falls[0]]} support not strictly increasing")
+            raise BadParametersError(f"row {row_of[falls[0]]} support not strictly increasing")
         if len(outside):
-            raise ValueError(f"row {row_of[outside[0]]} has column index out of range")
+            raise BadParametersError(f"row {row_of[outside[0]]} has column index out of range")
         labels = np.arange(max(nrows, ncols)).astype(object)
         order = np.argsort(indices, kind="stable")
         return cls(

@@ -237,11 +237,11 @@ def run_bec_sweep(
     def errors(p: float, u: np.ndarray) -> np.ndarray:
         erase = u[:, :n] < p
         words = np.where(erase, np.int8(ERASED), np.int8(0))
-        # bits left erased plus bits resolved to 1; a stall leaves at least one
+        # the bits left erased: the sent word is all-zero, so the peeler
+        # resolves every bit it reaches to 0; a stall leaves at least one
         errs = erase.sum(axis=1)
         for t, word in enumerate(words):
-            outcome = peel_decode_bec(code, word)
-            errs[t] += int(outcome.word.sum()) - outcome.iterations
+            errs[t] -= peel_decode_bec(code, word).iterations
         return errs
 
     return _sweep(code, "bec", probs, trials, seed, errors, threads, batch_size)

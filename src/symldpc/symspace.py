@@ -12,12 +12,18 @@ identified by their sorted member-index tuple and enumerated in
 lexicographic order of that tuple, which fixes the row ordering of the
 incidence matrices built on top of this module.
 
-The enumeration is one (r, q) integer array, `line_array()`, built with
-numpy from the field's addition and multiplication tables: per direction
-D, the q members of the line through every base point whose entry at D's
-leading position is 0, then one `np.lexsort` of the sorted rows.
-`line_index` looks lines up in it, and `lines()` builds `Line` objects
-from it only when asked.
+Point arithmetic past single points runs on one cached set of arrays:
+the field's addition and multiplication tables and the place value q^k
+of entry k.  `_sums` adds rows of step entries to rows of point entries
+and returns the sums' indices, and `_matmul` multiplies matrices over
+the field.  Line members, rank-1 neighbours, the BFS layers, ranks and
+motions all go through them.
+
+The enumeration is one (r, q) integer array, `line_array()`: per
+direction D, the q members of the line through every base point whose
+entry at D's leading position is 0, as one `_sums` call, then one
+`np.lexsort` of the sorted rows.  `line_index` looks lines up in it, and
+`lines()` builds `Line` objects from it only when asked.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -210,6 +216,29 @@ class SymSpace:
         ent = tuple(row[e] for e in s.entries)
         return SymPoint(self.n, self.q, ent, self._index_of(ent))
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(add, mul, place): the field tables as arrays and the place value q^k of entry k.
+
+        Past 2^63 points the place values are Python ints, so indices do not wrap.
+        """
+        add = np.array(self.field.add_table, dtype=np.int64)
+        mul = np.array(self.field.mul_table, dtype=np.int64)
+        wide = self.size > np.iinfo(np.int64).max
+        place = np.array([self.q**k for k in range(self.dim)], dtype=object if wide else np.int64)
+        return add, mul, place
+
+    def _sums(self, points, steps) -> np.ndarray:
+        """Indices of point + step: a row per entry row of `points`, a column per one of `steps`."""
+        add, _, place = self._tables
+        return add[np.asarray(points)[:, None, :], np.asarray(steps)[None, :, :]] @ place
+
+    def _matmul(self, a, b) -> np.ndarray:
+        """The matrix product a b over the field."""
+        add, mul, _ = self._tables
+        terms = mul[np.asarray(a)[:, :, None], np.asarray(b)[None, :, :]]
+        return reduce(lambda acc, t: add[acc, t], terms.transpose(1, 0, 2))
+
     def is_alternate(self, s: SymPoint) -> bool:
         """Nonzero with an all-zero diagonal (the characteristic-2 special case)."""
         self._check_point(s)
@@ -219,34 +248,26 @@ class SymSpace:
 
     # -- ranks and distances ---------------------------------------------------
 
-    def _matrix_rank(self, rows: list[list[int]]) -> int:
-        ft = self.field
-        mat = [row[:] for row in rows]
-        nrows = len(mat)
-        ncols = len(mat[0]) if mat else 0
+    def _matrix_rank(self, rows) -> int:
+        """Rank over the field, by Gauss-Jordan row operations on an array through the tables."""
+        if not len(rows):
+            return 0
+        add, mul, _ = self._tables
+        neg = np.array(self.field.neg_table)
+        mat = np.array(rows, dtype=np.int64)
         rank = 0
-        for col in range(ncols):
-            piv = None
-            for r in range(rank, nrows):
-                if mat[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
+        for col in range(mat.shape[1]):
+            piv = np.flatnonzero(mat[rank:, col])
+            if not len(piv):
                 continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            iv = ft.inv_table[mat[rank][col]]
-            for r in range(nrows):
-                if r != rank and mat[r][col] != 0:
-                    f = ft.mul_table[mat[r][col]][iv]
-                    prow = mat[rank]
-                    trow = mat[r]
-                    for c in range(col, ncols):
-                        if prow[c]:
-                            trow[c] = ft.add_table[trow[c]][
-                                ft.neg_table[ft.mul_table[f][prow[c]]]
-                            ]
+            mat[[rank, rank + piv[0]]] = mat[[rank + piv[0], rank]]
+            mat[rank] = mul[self.field.inv_table[mat[rank, col]], mat[rank]]
+            # subtract (entry at col) * pivot row from every other row
+            factor = neg[mat[:, col]]
+            factor[rank] = 0
+            mat = add[mat, mul[factor[:, None], mat[rank]]]
             rank += 1
-            if rank == nrows:
+            if rank == len(mat):
                 break
         return rank
 
@@ -259,33 +280,32 @@ class SymSpace:
 
     def neighbor_indices(self, idx: int) -> list[int]:
         """Indices of all points at arithmetic distance 1 from the given index."""
-        ent = self._entries_of(idx)
-        tbl = self.field.add_table
-        out = []
-        for d in self.rank_one_entries():
-            out.append(self._index_of(tuple(tbl[a][b] for a, b in zip(ent, d))))
-        return out
+        return self._sums([self._entries_of(idx)], self.rank_one_entries())[0].tolist()
 
     def distance_layers(self, s: SymPoint):
-        """Yield the index lists of the points at graph distance 0, 1, 2, ... from s.
+        """Yield the ascending index lists of the points at graph distance 0, 1, 2, ... from s.
 
         This is the one BFS of the rank-1 adjacency graph; it stops after the
-        last nonempty layer of s's component.
+        last nonempty layer of s's component.  Each layer is split into
+        entry rows and added to every rank-1 point through the tables, a
+        block of rows at a time so the (rows, q^n - 1, dim) sum stays small.
         """
         self._check_point(s)
         if self.size > BFS_POINT_CAP:
             raise TooLargeError(f"{self.size} points exceeds BFS cap {BFS_POINT_CAP}")
-        seen = {s.index}
-        layer = [s.index]
-        while layer:
-            yield layer
-            nxt = []
-            for idx in layer:
-                for nb in self.neighbor_indices(idx):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            layer = nxt
+        place = self._tables[2]
+        steps = np.array(self.rank_one_entries())
+        rows = max(1, (1 << 18) // steps.size)
+        seen = np.zeros(self.size, dtype=bool)
+        seen[s.index] = True
+        layer = np.array([s.index])
+        while len(layer):
+            yield layer.tolist()
+            reached = np.zeros_like(seen)
+            for lo in range(0, len(layer), rows):
+                reached[self._sums(layer[lo : lo + rows, None] // place % self.q, steps)] = True
+            layer = np.flatnonzero(reached & ~seen)
+            seen[layer] = True
 
     def graph_distance(self, s1: SymPoint, s2: SymPoint) -> int:
         """Shortest-path length in the rank-1 adjacency graph, by BFS."""
@@ -372,12 +392,7 @@ class SymSpace:
 
     def _line_members(self, s_ent: tuple[int, ...], d_ent: tuple[int, ...]) -> tuple[int, ...]:
         """Sorted point indices of the line {S + x*D : x in GF(q)}."""
-        add = self.field.add_table
-        mul = self.field.mul_table
-        return tuple(sorted(
-            self._index_of(tuple(add[a][mul[x][b]] for a, b in zip(s_ent, d_ent)))
-            for x in range(self.q)
-        ))
+        return tuple(sorted(self._sums([s_ent], self._tables[1][:, d_ent])[0].tolist()))
 
     def _line(self, members: tuple[int, ...], d_ent: tuple[int, ...], index=None) -> Line:
         """The one place a Line is made.
@@ -414,17 +429,14 @@ class SymSpace:
         if total > LINE_CAP:
             raise TooLargeError(f"{total} lines exceeds cap {LINE_CAP}")
         q, dim = self.q, self.dim
-        add = np.array(self.field.add_table, dtype=np.int64)
-        mul = np.array(self.field.mul_table, dtype=np.int64)
-        place = q ** np.arange(dim, dtype=np.int64)
+        _, mul, place = self._tables
         # the other dim - 1 entries of every base point, least significant first
         rest = np.arange(q ** (dim - 1), dtype=np.int64)[:, None] // place[: dim - 1] % q
-        blocks = []
-        for d_ent in self.direction_entries():
-            base = np.insert(rest, d_ent.index(1), 0, axis=1)
-            # entry e of base + x*D, for every base (rows) and x (columns)
-            points = add[base[:, None, :], mul[:, d_ent][None, :, :]]
-            blocks.append(points @ place)
+        # per direction, base + x*D for every base (rows) and x (columns)
+        blocks = [
+            self._sums(np.insert(rest, d_ent.index(1), 0, axis=1), mul[:, d_ent])
+            for d_ent in self.direction_entries()
+        ]
         members = np.sort(np.concatenate(blocks), axis=1)
         dirs = np.repeat(np.arange(len(blocks)), len(rest))
         order = np.lexsort(members.T[::-1])
@@ -504,29 +516,9 @@ class SymSpace:
         self._check_point(g.shift)
         if len(g.p_rows) != self.n:
             raise DimensionMismatchError("motion dimension does not match space")
-        ft = self.field
-        mul = ft.mul_table
-        addt = ft.add_table
-        smat = self.matrix_of(s)
-        n = self.n
-        # t = S P
-        t = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = addt[acc][mul[smat[i][k]][g.p_rows[k][j]]]
-                t[i][j] = acc
-        # r = P^T t
-        r = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = addt[acc][mul[g.p_rows[k][i]][t[k][j]]]
-                r[i][j] = acc
-        out = self.from_matrix(r)
-        return self.add(out, g.shift)
+        p = np.array(g.p_rows)
+        out = self._matmul(p.T, self._matmul(self.matrix_of(s), p))
+        return self.add(self.from_matrix(out.tolist()), g.shift)
 
     def random_motion(self, rng: random.Random) -> Motion:
         while True:

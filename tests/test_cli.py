@@ -638,3 +638,31 @@ def test_simulate_rejects_a_sweep_that_is_not_numbers(tmp_path, capsys, ebno):
     assert rc == 1
     assert "is not a number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family,q,checks,built",
+    [
+        ("symmetric_transpose", "4", None, 1),
+        ("symmetric", "2", None, 1),
+        ("symmetric_transpose", "4", "structure", 0),
+        ("symmetric_transpose", "4", "girth,rank", 0),
+    ],
+)
+def test_analyze_builds_the_witness_at_most_once(
+    tmp_path, capsys, monkeypatch, family, q, checks, built
+):
+    out = tmp_path / "code.alist"
+    assert main(["build", "--n", "2", "--q", q, "--family", family, "--out", str(out)]) == 0
+    capsys.readouterr()
+    calls = []
+    for name in ("ctranspose_witness", "c2q_witness"):
+        real = getattr(codes, name)
+        monkeypatch.setattr(codes, name, lambda *a, real=real: calls.append(a) or real(*a))
+    argv = ["analyze", "--infile", str(out)]
+    assert main(argv + (["--checks", checks] if checks else [])) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == built
+    if checks is None:
+        assert report["witnesses"]["columns_sum_zero"] is True
+        assert report["mindist"]["exactness"] == report["stopdist"]["exactness"] == "exact"

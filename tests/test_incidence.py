@@ -466,3 +466,26 @@ def test_structure_refuses_parameters_outside_the_family(n, q):
     # q = 1 used to divide by q - 1 = 0
     with pytest.raises(BadParametersError, match="must be an integer"):
         verify_structure(build_h(sym_space(2, 2)), n, q)
+
+
+@pytest.mark.parametrize(
+    "nrows,ncols,indices,weights,message",
+    [
+        (3, 4, [0, 1, 2], [1, 2], "expected 3 rows, got 2"),
+        (2, 4, [0, 1, 2], [1, 1], "row weights sum to 2, not the 3 indices"),
+        (2, 4, [0, 1, 2], [4, -1], "row weights sum to 3, not the 3 indices"),
+        (2, 4, [1, 0, 2], [2, 1], "row 0 support not strictly increasing"),
+        (2, 4, [0, 1, 4], [2, 1], "row 1 has column index out of range"),
+        (2, 4, [-1, 0, 2], [2, 1], "row 0 has column index out of range"),
+    ],
+)
+def test_from_flat_refusals_are_typed(nrows, ncols, indices, weights, message):
+    with pytest.raises(BadParametersError, match=message):
+        SparseBitMatrix.from_flat(nrows, ncols, indices, weights)
+    if len(weights) == nrows and sum(weights) == len(indices) and min(weights) >= 0:
+        rows, start = [], 0
+        for w in weights:
+            rows.append(indices[start : start + w])
+            start += w
+        with pytest.raises(BadParametersError, match=message):
+            SparseBitMatrix.from_rows(nrows, ncols, rows)
