@@ -37,19 +37,19 @@ check's slots of one lane.  So a word's lane, and when it moves, never
 affects its result: bits, convergence and iteration counts do not depend
 on the lane count or on how trials are batched.
 
-Messages live in two padded layouts: the check side is (nonzero rows x max
-row weight) and the variable side is (columns x max column weight).  Slots
-past a node's degree read a sentinel row: tanh(v2c / 2) = 1 on the check
-side (v2c = +inf, exact in the product), c2v = 0 and bit 0 on the
-variable side.  Irregular graphs and unchecked columns thus need no
-separate code path.
+Messages live in the padded layouts of `incidence.edge_slots`: the check
+side is (rows x max row weight), the variable side (columns x max column
+weight).  Slots past a node's degree read a sentinel row: tanh(v2c / 2) =
+1 on the check side (v2c = +inf, exact in the product), c2v = 0 and bit 0
+on the variable side.  Irregular graphs, unchecked columns and zero-weight
+rows (checks always met) thus need no separate code path.
 
 Convention: BPSK maps bit 0 to +1 and bit 1 to -1, and the channel LLR of
 a received amplitude y is 2y/sigma^2 (positive means bit 0 more likely).
 
 The peeler works on Python-int bitmasks: bit j of a mask is column j.  A
 word is two masks, its erased bits and its known ones, and each check is
-its row mask, cached once per matrix as SparseBitMatrix._row_masks on the
+its row mask, cached once per matrix by SparseBitMatrix._cached on the
 peeler's first call.  Erased counts and parities are popcounts of ANDs,
 and resolving a degree-1 check touches only the checks on that one
 column.  The peeling order does not change the outcome (the argument is
@@ -64,6 +64,7 @@ even, so only a stall with a known 1 needs that pass over the rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,7 @@ from .exceptions import (
     LengthMismatchError,
     check_integer,
 )
+from .incidence import edge_slots
 
 LLR_CLIP = 30.0
 DEFAULT_MAX_ITERS = 50
@@ -104,7 +106,13 @@ class AwgnChannel:
     def sigma(self) -> float:
         if self.rate <= 0:
             raise BadParametersError("channel needs a positive code rate")
-        return float(1.0 / np.sqrt(2.0 * self.rate * 10.0 ** (self.ebno_db / 10.0)))
+        try:
+            sigma = 1.0 / math.sqrt(2.0 * self.rate * 10.0 ** (self.ebno_db / 10.0))
+            if 0.0 < 2.0 / (sigma * sigma) < math.inf:
+                return sigma
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise BadParametersError(f"Eb/N0 of {self.ebno_db} dB gives no finite LLR scale 2/sigma^2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,31 +128,15 @@ class DecodeOutcome:
 class SumProductDecoder:
     """Flooding sum-product decoder bound to one parity-check matrix.
 
-    check_side[c, k] holds the variable-side slot j * col_wt + k' of check
-    c's k-th edge, and var_side[j, k'] the check-side slot c * row_wt + k of
-    the same edge.  Padding points at the sentinel slot past the other side.
+    check_side and var_side are the row and column sides of
+    `incidence.edge_slots(h)`: each slot names its edge's slot on the other
+    side, and padding the sentinel slot past it.
     """
 
     def __init__(self, h):
-        # zero-weight rows impose no constraint and are dropped from the graph
-        rows = [r for r in h.row_support if r]
-        var_of_edge = np.array([j for r in rows for j in r], dtype=np.int64)
-        row_deg = np.array([len(r) for r in rows], dtype=np.int64)
-        col_deg = np.bincount(var_of_edge, minlength=h.ncols)
-        # width >= 1 on the variable side, so a graph without edges needs no
-        # special case: its columns read only the c2v = 0 sentinel
-        row_wt, col_wt = row_deg.max(initial=0), col_deg.max(initial=1)
         self.ncols = h.ncols
-        self.n_edges = len(var_of_edge)
-        self.check_side = np.full((len(rows), row_wt), h.ncols * col_wt)
-        self.var_side = np.full((h.ncols, col_wt), len(rows) * row_wt)
-        # real slots in row-major order list the edges check-major on the
-        # check side, variable-major (ascending check) on the variable side
-        check_slot = np.flatnonzero(np.arange(row_wt) < row_deg[:, None])
-        var_slot = np.flatnonzero(np.arange(col_wt) < col_deg[:, None])
-        check_slot = check_slot[np.argsort(var_of_edge, kind="stable")]
-        self.check_side.flat[check_slot] = var_slot
-        self.var_side.flat[var_slot] = check_slot
+        self.n_edges = h.edge_count
+        self.check_side, self.var_side = edge_slots(h)
 
     def _pool_width(self, batch: int) -> int:
         """Lanes of a call's pool: LANES, fewer where an edge-sized float64
@@ -342,7 +334,7 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
     set.  A fully known check with odd parity raises InconsistentError.
 
     The word is two int bitmasks over the columns, `erased` and `ones`, and
-    each check is its row mask from h._row_masks: a check's erased count is
+    each check is its row mask, cached on h: a check's erased count is
     (erased & r).bit_count() and the parity of its known bits is
     (ones & r).bit_count() & 1.
 
@@ -367,7 +359,8 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
     if received.ndim != 1 or not (erased_at | one_at | (received == 0)).all():
         raise BadParametersError("received symbols must be 0, 1 or ERASED")
 
-    masks, cols = h._row_masks, h.col_support
+    masks = h._cached("row_masks", lambda: tuple(sum(1 << j for j in r) for r in h.row_support))
+    cols = h.col_support
     erased = unresolved = _bitmask(erased_at)
     ones = _bitmask(one_at)
     count = [(erased & r).bit_count() for r in masks]

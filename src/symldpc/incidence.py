@@ -35,8 +35,6 @@ from .exceptions import BadParametersError, StructureViolationError, TooLargeErr
 from .gf import factor_prime_power
 from .symspace import SymSpace
 
-# build_h refuses instances with more incidences than this
-EDGE_CAP = 1 << 24
 # diameter/girth BFS refuses graphs with more vertices than this
 VERTEX_CAP = 1 << 20
 # roots advanced together by one BFS pass; each BFS array is (V + 1) x ceil(block / 64) uint64
@@ -134,15 +132,6 @@ class SparseBitMatrix:
             derived[key] = compute()
         return derived[key]
 
-    @cached_property
-    def _row_masks(self) -> tuple[int, ...]:
-        """Each row's support as an int with bit j set for column j.
-
-        Built on first use and cached on the instance like _cached results,
-        so equality and hashing ignore it.
-        """
-        return tuple(sum(1 << j for j in row) for row in self.row_support)
-
 
 def _split(flat: np.ndarray, weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Consecutive runs of weights[i] entries of a flat object array, as tuples."""
@@ -166,14 +155,8 @@ class StructureReport:
 
 def build_h(space: SymSpace) -> SparseBitMatrix:
     """Incidence matrix of the space: rows are lines, columns are points."""
-    r = space.line_count()
-    edges = r * space.q
-    if edges > EDGE_CAP:
-        raise TooLargeError(
-            f"instance has r={r} lines x q={space.q} = {edges} incidences, "
-            f"exceeding cap {EDGE_CAP} (c={space.size} points)"
-        )
-    return SparseBitMatrix.from_flat(r, space.size, space.line_array(), np.full(r, space.q))
+    lines = space.line_array()
+    return SparseBitMatrix.from_flat(len(lines), space.size, lines, np.full(len(lines), space.q))
 
 
 def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
@@ -265,20 +248,20 @@ def _line_point_orbits(h: SparseBitMatrix, p: int, digits: int):
     one upper-triangular entry.  It must map h's set of rows onto itself:
     each translated row is matched to a row by its first two points, then
     compared entry by entry, and no two rows may map to the same row.
-    None when a generator fails.
+    None when a generator fails.  The generators step every base-p digit of
+    the p^digits columns, so the columns are one orbit, with minimum 0.
     """
-    rows = h.row_support
-    weight = len(rows[0]) if rows else 0
-    if weight < 2 or any(len(r) != weight for r in rows):
+    row_side, col_side = edge_slots(h)
+    support = row_side // col_side.shape[1]  # a short row's sentinel gives ncols
+    if support.shape[1] < 2 or (support == h.ncols).any():
         return None
-    support = np.array(rows, dtype=np.int64)
     keys = support[:, 0] * h.ncols + support[:, 1]
     order = np.argsort(keys)
     keys = keys[order]
     if (keys[1:] == keys[:-1]).any():
         return None
     point = np.arange(h.ncols)
-    row_maps, point_maps = [], []
+    row_maps = []
     for t in range(digits):
         step = p**t
         moved = point + np.where(point // step % p == p - 1, (1 - p) * step, step)
@@ -290,8 +273,7 @@ def _line_point_orbits(h: SparseBitMatrix, p: int, digits: int):
         if np.bincount(row_map, minlength=h.nrows).max() > 1:
             return None
         row_maps.append(row_map)
-        point_maps.append(moved)
-    return _orbit_minima(row_maps, h.nrows), _orbit_minima(point_maps, h.ncols)
+    return _orbit_minima(row_maps, h.nrows), [0]
 
 
 def _orbit_minima(maps, size: int) -> list[int]:
@@ -313,19 +295,38 @@ def _orbit_minima(maps, size: int) -> list[int]:
         label = merged
 
 
-def _padded(supports, offset: int, sentinel: int) -> np.ndarray:
-    """(largest degree, len(supports)) array: slot s of every vertex's neighbours.
+def edge_slots(h: SparseBitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """H's one edge layout, (row_side, col_side), built per call.
 
-    Neighbour j is vertex offset + j; vertices with fewer neighbours are
-    padded with the sentinel vertex.
+    row_side[i, k] holds the column-side slot j * col_wt + k' of row i's
+    k-th edge, and col_side[j, k'] the row-side slot i * row_wt + k of the
+    same edge, each side's rows (nrows x row_wt, ncols x col_wt) listing
+    their edges in support order.  Padding, a zero-weight row's included,
+    points at the sentinel slot past the other side.
     """
-    weights = np.fromiter(map(len, supports), dtype=np.int64, count=len(supports))
-    flat = np.fromiter(chain.from_iterable(supports), dtype=np.int64, count=int(weights.sum()))
-    vertex = np.repeat(np.arange(len(supports)), weights)
-    slot = np.arange(len(flat)) - np.repeat(np.cumsum(weights) - weights, weights)
-    out = np.full((weights.max(initial=0), len(supports)), sentinel, dtype=np.int64)
-    out[slot, vertex] = flat + offset
-    return out
+    row_deg = np.fromiter(map(len, h.row_support), dtype=np.int64)
+    col_of_edge = np.fromiter(chain.from_iterable(h.row_support), dtype=np.int64)
+    col_deg = np.bincount(col_of_edge, minlength=h.ncols)
+    # width >= 1 on the column side: an edgeless graph's columns read the sentinel
+    row_wt, col_wt = row_deg.max(initial=0), col_deg.max(initial=1)
+    row_side = np.full((h.nrows, row_wt), h.ncols * col_wt)
+    col_side = np.full((h.ncols, col_wt), h.nrows * row_wt)
+    # real slots, in row-major order, list the edges row- and column-major
+    row_slot = np.flatnonzero(np.arange(row_wt) < row_deg[:, None])
+    col_slot = np.flatnonzero(np.arange(col_wt) < col_deg[:, None])
+    row_slot = row_slot[np.argsort(col_of_edge, kind="stable")]
+    row_side.flat[row_slot] = col_slot
+    col_side.flat[col_slot] = row_slot
+    return row_side, col_side
+
+
+def _neighbours(h: SparseBitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rows' and columns' (slot, vertex) neighbour arrays; padding is vertex nrows + ncols."""
+    row_side, col_side = edge_slots(h)
+    row_wt, col_wt = row_side.shape[1], col_side.shape[1]
+    cols = np.where(col_side == h.nrows * row_wt, h.nrows + h.ncols, col_side // max(row_wt, 1))
+    # column j is vertex nrows + j, and the row side's sentinel slot gives j = ncols
+    return row_side.T // col_wt + h.nrows, cols.T
 
 
 def _rooted_bfs(h: SparseBitMatrix, roots):
@@ -334,24 +335,21 @@ def _rooted_bfs(h: SparseBitMatrix, roots):
     Vertices are the rows 0..nrows-1, then the columns.  Roots run in
     blocks of ROOT_BLOCK, and each vertex keeps a row of ceil(block / 64)
     uint64 words: bit k is set when root k of the block has reached it.
-    Adjacency is one padded array per side, whose padding is a sentinel
-    vertex past the last one with an all-zero frontier row.  One depth is
-    a loop over degree slots that ORs the frontier rows of every vertex's
-    slot-s neighbours at once, so every root of the block advances by one
-    level.  A vertex that receives the same new root from two frontier
-    neighbours at depth d closes a cycle of length 2d; the graph is
-    bipartite, so no edge joins a layer to itself, and a root on a
-    shortest cycle finds its length first.  The last depth that adds any
+    Adjacency is one array per side, read off `edge_slots`, whose padding
+    is a sentinel vertex past the last one with an all-zero frontier row.
+    One depth is a loop over degree slots that ORs the frontier rows of
+    every vertex's slot-s neighbours at once, so every root of the block
+    advances by one level.  A vertex that receives the same new root from
+    two frontier neighbours at depth d closes a cycle of length 2d; the
+    graph is bipartite, so no edge joins a layer to itself, and a root on
+    a shortest cycle finds its length first.  The last depth that adds any
     bit is the root's eccentricity; a root that misses a vertex makes the
     diameter infinite.  The minimum and maximum over the roots are the
     girth and diameter when the roots meet every orbit of an automorphism
     group, as `translation_roots` do.
     """
     nverts = h.nrows + h.ncols
-    sides = (
-        (slice(0, h.nrows), _padded(h.row_support, h.nrows, nverts)),
-        (slice(h.nrows, nverts), _padded(h.col_support, 0, nverts)),
-    )
+    sides = tuple(zip((slice(0, h.nrows), slice(h.nrows, nverts)), _neighbours(h)))
     best_girth = INFINITE
     worst = 0
     for first in range(0, len(roots), ROOT_BLOCK):

@@ -154,7 +154,9 @@ def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
     and a trial with any bit error is a word error.
     """
     trials = check_integer("trials", trials, 1)
-    seed = check_integer("seed", seed)
+    seed = check_integer("seed", seed, 0)
+    if seed > _MASK64:  # Philox keys on 64 bits, so a wider seed would alias one below
+        raise BadParametersError(f"seed must be below 2^64, got {seed}")
     batch_size = check_integer("batch_size", batch_size, 1)
     wpt = _words_per_trial(code.length)
 
@@ -202,6 +204,7 @@ def run_awgn_sweep(
     for ebno in ebno_list:
         if not np.isfinite(ebno):
             raise BadParametersError(f"Eb/N0 must be finite, got {ebno}")
+        AwgnChannel(ebno_db=ebno, rate=code.rate).sigma  # refuses an unusable noise scale
     max_iters = check_integer("max_iters", max_iters, 1)
     decoder = SumProductDecoder(code.h)
     n = code.length

@@ -49,8 +49,8 @@ from .gf import FieldTable
 
 # the point-graph BFS (distance_layers) refuses spaces larger than this
 BFS_POINT_CAP = 1 << 22
-# lines() refuses instances with more lines than this
-LINE_CAP = 1 << 22
+# the line enumeration refuses instances with more incidences (lines x q) than this
+EDGE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -425,9 +425,12 @@ class SymSpace:
         a line's key is first member * size + second member: two points fix
         a line, so the keys ascend strictly with the rows.
         """
-        total = self.line_count()
-        if total > LINE_CAP:
-            raise TooLargeError(f"{total} lines exceeds cap {LINE_CAP}")
+        r = self.line_count()
+        if r * self.q > EDGE_CAP:
+            raise TooLargeError(
+                f"instance has r={r} lines x q={self.q} = {r * self.q} incidences, "
+                f"exceeding cap {EDGE_CAP} (c={self.size} points)"
+            )
         q, dim = self.q, self.dim
         _, mul, place = self._tables
         # the other dim - 1 entries of every base point, least significant first

@@ -412,6 +412,28 @@ def test_simulate_rejects_non_finite_ebno(tmp_path, capsys, ebno):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ebno=4000"],
+        ["--ebno=-3240"],
+        ["--ebno=1", "--seed=-1"],
+        ["--channel=bec", "--probs=0.3", f"--seed={1 << 64}"],
+    ],
+)
+def test_simulate_refuses_an_unusable_eb_n0_or_seed_in_one_line(tmp_path, capsys, flags):
+    out = tmp_path / "x.csv"
+    rc = main(
+        ["simulate", "--family", "symmetric", "--n", "2", "--q", "2",
+         *flags, "--trials", "20", "--out", str(out)]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("seed" if "seed" in flags[-1] else "Eb/N0") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "sweep", [["--ebno", "1:0:1"], ["--ebno", ","], ["--channel", "bec", "--probs", ""]]
 )
 def test_simulate_rejects_empty_sweep(tmp_path, capsys, sweep):

@@ -2,6 +2,7 @@ import functools
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,65 @@ def test_tanner_bfs_runs_once_per_matrix_instance(monkeypatch):
     assert twin == h and hash(twin) == hash(h)
     assert diameter(twin) == 6
     assert len(calls) == 2
+
+
+def _padded(supports, offset, sentinel):
+    """(largest degree, len(supports)) array: slot s of every vertex's neighbours.
+
+    Neighbour j is vertex offset + j; vertices with fewer neighbours are
+    padded with the sentinel vertex.  Built from the supports alone, it is
+    the oracle for the BFS's neighbour arrays.
+    """
+    out = np.full((max(map(len, supports), default=0), len(supports)), sentinel)
+    for v, support in enumerate(supports):
+        out[: len(support), v] = [offset + j for j in support]
+    return out
+
+
+EDGE_SLOT_CASES = {
+    "C(2,2)": lambda: make_code("symmetric", 2, 2).h,
+    "CT(2,3)": lambda: make_code("symmetric_transpose", 2, 3).h,
+    "C(2,4)": lambda: make_code("symmetric", 2, 4).h,
+    "G(12,2,3)": lambda: gallager_random(12, 2, 3, seed=5).h,
+    # row 1 is empty and column 3 unchecked
+    "irregular": lambda: SparseBitMatrix.from_rows(4, 5, [(0, 2), (), (0, 1, 2, 4), (2,)]),
+    "edgeless": lambda: SparseBitMatrix.from_rows(2, 3, [(), ()]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_SLOT_CASES))
+def test_edge_slots_link_each_edge_to_its_twin_slot(name):
+    h = EDGE_SLOT_CASES[name]()
+    row_side, col_side = incidence.edge_slots(h)
+    row_wt = max(map(len, h.row_support), default=0)
+    col_wt = max(max(map(len, h.col_support), default=0), 1)
+    assert row_side.shape == (h.nrows, row_wt) and col_side.shape == (h.ncols, col_wt)
+    sides = (
+        (row_side, h.row_support, col_side, col_wt, h.ncols),
+        (col_side, h.col_support, row_side, max(row_wt, 1), h.nrows),
+    )
+    for side, supports, other, other_wt, other_count in sides:
+        for v, support in enumerate(supports):
+            real = side[v, : len(support)]
+            # each real slot lies in the row of its support entry, in order
+            assert (real // other_wt).tolist() == list(support)
+            # and the slot it names points back at this one
+            here = v * side.shape[1] + np.arange(len(support))
+            assert other.flat[real].tolist() == here.tolist()
+            # padding is the sentinel slot, one past the other side's last
+            assert (side[v, len(support) :] == other_count * other.shape[1]).all()
+
+
+@pytest.mark.parametrize("name", list(EDGE_SLOT_CASES))
+def test_bfs_neighbour_arrays_match_the_padded_supports(name):
+    h = EDGE_SLOT_CASES[name]()
+    nverts = h.nrows + h.ncols
+    rows, cols = incidence._neighbours(h)
+    assert np.array_equal(rows, _padded(h.row_support, h.nrows, nverts))
+    # the column side is at least one slot wide; without edges that slot is padding
+    want = _padded(h.col_support, 0, nverts)
+    assert np.array_equal(cols[: len(want)], want)
+    assert (cols[len(want) :] == nverts).all()
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])

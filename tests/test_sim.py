@@ -11,6 +11,7 @@ from symldpc import (
     run_awgn_sweep,
     run_bec_sweep,
 )
+from symldpc import sim
 from symldpc.decode import POOL_BYTES
 from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
@@ -194,6 +195,40 @@ def test_sweep_integers_must_be_integers(ct22, sweep, name, value):
         sweep(ct22, [0.1], **kwargs)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5, -(1 << 70)])
+@pytest.mark.parametrize("sweep", [run_awgn_sweep, run_bec_sweep])
+def test_seed_outside_64_bits_is_refused(ct22, sweep, seed):
+    # Philox keys on 64 bits, so -1 would draw the noise of 2^64 - 1, and
+    # 2^64 + 5 that of 5, while the CSV records different seeds
+    with pytest.raises(BadParametersError, match="seed"):
+        sweep(ct22, [0.4], 10, seed)
+
+
+@pytest.mark.parametrize("sweep", [run_awgn_sweep, run_bec_sweep])
+def test_seed_range_ends_are_accepted(ct22, sweep):
+    for seed in (0, (1 << 64) - 1):
+        (result,) = sweep(ct22, [0.4], 10, seed)
+        assert result.seed == seed
+
+
+@pytest.mark.parametrize("ebno", [4000.0, 3083.0, -3235.0, -3240.0])
+def test_awgn_refuses_eb_n0_without_a_usable_noise_scale(ct22, ebno, monkeypatch):
+    # 3083 dB overflows 10^(Eb/N0 / 10), -3235 dB overflows sigma^2 (so every
+    # LLR would be 0) and -3240 dB makes sigma infinite
+    with pytest.raises(BadParametersError, match="Eb/N0"):
+        AwgnChannel(ebno_db=ebno, rate=ct22.rate).sigma
+    # every point is checked before any cell runs
+    monkeypatch.setattr(sim, "_sweep", lambda *args: pytest.fail("a sweep cell ran"))
+    with pytest.raises(BadParametersError, match=f"Eb/N0 of {ebno} dB"):
+        run_awgn_sweep(ct22, [1.0, ebno], 20, seed=1)
+
+
+def test_extreme_but_usable_eb_n0_keeps_its_noise(ct22):
+    assert AwgnChannel(ebno_db=3000.0, rate=ct22.rate).sigma > 0
+    (low,) = run_awgn_sweep(ct22, [-3000.0], 50, seed=1)
+    assert low.word_errors == 50
+
+
 @pytest.mark.parametrize("max_iters", [1.5, True, 0])
 def test_awgn_max_iters_must_be_a_positive_integer(ct22, max_iters):
     with pytest.raises(BadParametersError, match="max_iters must be"):
@@ -297,7 +332,7 @@ def test_bec_counts_independent_of_threads_and_batch_on_a_fresh_matrix():
     from symldpc import FAMILY_SYMMETRIC, make_code
 
     code = make_code(FAMILY_SYMMETRIC, 2, 4)
-    assert "_row_masks" not in vars(code.h)
+    assert "row_masks" not in vars(code.h).get("_derived", {})
     two = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=2)
     one = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=1)
     rebatched = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=1, batch_size=123)

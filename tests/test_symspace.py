@@ -325,8 +325,9 @@ def per_direction_lines(sp):
     return collected
 
 
-# n = 3 stops at q = 5: q = 7 and 8 have 0.96 and 2.4 million lines, which the
-# oracle would take minutes over, and q = 9 is past LINE_CAP
+# n = 3 stops at q = 5: q = 7 has 0.96 million lines, which the oracle would
+# take minutes over, and q = 8 and 9 (19.1 and 48.4 million incidences) are
+# past EDGE_CAP
 @pytest.mark.parametrize(
     "n,q",
     [(n, q) for n in (1, 2, 3) for q in (2, 3, 4, 5, 7, 8, 9) if n < 3 or q <= 5],
@@ -342,6 +343,13 @@ def test_line_array_matches_per_direction_enumeration(n, q):
 def test_line_array_refuses_more_lines_than_the_cap():
     with pytest.raises(TooLargeError):
         SymSpace(3, field_of_size(9)).line_array()
+
+
+def test_line_array_refuses_more_incidences_than_build_h_takes():
+    # S_3(F_8) has 2.4 million lines of 8 points: 19.1 million incidences
+    sp = SymSpace(3, field_of_size(8))
+    with pytest.raises(TooLargeError, match="19136512 incidences, exceeding cap 16777216"):
+        sp.line_array()
 
 
 @pytest.mark.parametrize("n,q", [(2, 4), (3, 3)])

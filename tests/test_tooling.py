@@ -98,7 +98,9 @@ def test_readme_quotes_constants_at_their_values():
     # so retuning one cannot leave the README behind
     readme = (SRC.parents[1] / "README.md").read_text()
     quoted = re.findall(r"`([A-Z][A-Z0-9_]*)`\s+\(([^)]*)\)", readme)
-    assert {"LANES", "POOL_BYTES", "ERASED"} <= {name for name, _ in quoted}
+    required = {"LANES", "POOL_BYTES", "ERASED"}
+    required |= {"EDGE_CAP", "VERTEX_CAP", "BFS_POINT_CAP", "ROOT_BLOCK"}
+    assert required <= {name for name, _ in quoted}
     constants = _module_constants()
     for name, value in quoted:
         number = re.fullmatch(r"(-?\d+)( KiB)?", value)
