@@ -32,7 +32,7 @@ import errno
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +115,7 @@ def read_alist(path) -> SparseBitMatrix:
         raise bad(2, f"expected the max column and row weights {max_col} {max_row}")
     try:
         row, col, counts = _sorted_entries(lists[4 + ncols : expected])
-        _, row_of_col, col_counts = _sorted_entries(lists[4 : 4 + ncols])
+        col_of, row_of_col, col_counts = _sorted_entries(lists[4 : 4 + ncols])
     except OverflowError:
         k = next(k for k in range(4, expected) if any(abs(v) >= 1 << 63 for v in lists[k]))
         raise bad(k + 1, "an index does not fit in 64 bits")
@@ -131,13 +131,16 @@ def read_alist(path) -> SparseBitMatrix:
         5 + ncols,
     )
     h = SparseBitMatrix.from_flat(nrows, ncols, col - 1, counts)
-    listed = iter((row_of_col - 1).tolist())
+    # a column disagrees when its count does or, at an equal count, an entry does
+    same = col_counts == h.col_weights
+    listed, built = np.repeat(same, col_counts), np.repeat(same, h.col_weights)
+    differs = ~same
+    differs[col_of[listed][row_of_col[listed] - 1 != h.transpose().cols[built]]] = True
     first_fault(
         [
             (np.flatnonzero(col_counts != col_weights),
              lambda j: f"column {j} lists {col_counts[j]} rows, weight says {col_weights[j]}"),
-            ([j for j, (k, c) in enumerate(zip(col_counts.tolist(), h.col_support))
-              if tuple(islice(listed, k)) != c],
+            (np.flatnonzero(differs),
              lambda j: f"column {j} disagrees with the row lists"),
         ],
         5,
@@ -157,16 +160,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise BadParametersError(f"unknown build format {args.fmt!r}")
     code = codes.make_code(args.family, args.n, args.q)
     write_alist(code.h, args.out)
-    rho = len(code.h.row_support[0])
-    gamma = len(code.h.col_support[0])
     meta = {
         "family": code.family,
         "n": args.n,
         "q": args.q,
         "rows": code.h.nrows,
         "cols": code.h.ncols,
-        "rho": rho,
-        "gamma": gamma,
+        "rho": int(code.h.row_weights[0]),
+        "gamma": int(code.h.col_weights[0]),
         "girth": _jsonable(code.girth),
     }
     _meta_path(args.out).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
@@ -250,9 +251,9 @@ def _witness_check(code: codes.CodeSpec) -> dict:
             raise StructureViolationError(
                 f"{code.code_id}: independent row {max(rows)} is outside the {h.nrows} rows of h"
             )
-        sub = SparseBitMatrix.from_rows(
-            len(rows), h.ncols, (h.row_support[i] for i in sorted(rows))
-        )
+        keep = np.isin(h.nonzero()[0], list(rows))
+        weights = h.row_weights[sorted(rows)]
+        sub = SparseBitMatrix.from_flat(len(rows), h.ncols, h.cols[keep], weights)
         rank = gf2.rank_gf2(sub)
         out["independent_rows"] = len(rows)
         out["independent_rows_rank"] = rank

@@ -257,6 +257,6 @@ def gallager_random(length: int, col_wt: int, row_wt: int, seed: int) -> CodeSpe
     perms = [np.arange(length)] + [rng.permutation(length) for _ in range(col_wt - 1)]
     rows = np.sort(np.concatenate(perms).reshape(nrows, row_wt), axis=1)
     h = SparseBitMatrix.from_flat(nrows, length, rows, np.full(nrows, row_wt))
-    if any(len(c) != col_wt for c in h.col_support):
+    if (h.col_weights != col_wt).any():
         raise StructureViolationError(f"band ensemble column weight is not {col_wt}")
     return CodeSpec(family=FAMILY_GALLAGER, h=h, code_id=f"G({length},{col_wt},{row_wt},s{seed})")

@@ -3,7 +3,7 @@
 Matrices come in as SparseBitMatrix.  Every GF(2) computation on them
 (elimination, the null-space basis and codeword enumeration) uses one
 representation: rows packed 64 columns per uint64 word, bit j % 64 of
-word j // 64 standing for column j, built straight from the supports.
+word j // 64 standing for column j, set from (row, column) entry arrays.
 Rank and null space come from one Gauss-Jordan pass over those rows,
 which yields the unique reduced row echelon form; it runs once per
 matrix instance.
@@ -59,15 +59,12 @@ class DistanceResult:
         return self.status == EXACT
 
 
-def _pack(ncols: int, supports) -> np.ndarray:
-    """Rows given by their supports, packed into a (len(supports), words) uint64 array.
+def _pack(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix with ones at (rows[k], cols[k]), packed as (nrows, words) uint64.
 
     Bit j % 64 of word j // 64 stands for column j; there is at least one word.
     """
-    lengths = [len(s) for s in supports]
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    cols = np.fromiter(chain.from_iterable(supports), dtype=np.intp, count=len(rows))
-    packed = np.zeros((len(lengths), max(1, -(-ncols // 64))), dtype=np.uint64)
+    packed = np.zeros((nrows, max(1, -(-ncols // 64))), dtype=np.uint64)
     np.bitwise_or.at(packed, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
     return packed
 
@@ -85,7 +82,7 @@ def _echelon(h: SparseBitMatrix) -> tuple[np.ndarray, list[int]]:
     c.  Rows that are not pivots yet are zero before column c, so the XOR
     starts at c's word.
     """
-    mat = _pack(h.ncols, h.row_support)
+    mat = _pack(h.nrows, h.ncols, *h.nonzero())
     unused = np.ones(h.nrows, dtype=bool)
     pivot_rows: list[int] = []
     pivots: list[int] = []
@@ -251,7 +248,7 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds, seed) 
             method=METHOD_SUPPORT_SEARCH,
         )
     rows, cols = h.row_support, h.col_support
-    gamma_max = max((len(c) for c in cols), default=0)
+    gamma_max = int(h.col_weights.max(initial=0))
     hits = [0] * h.nrows
     in_support = [False] * h.ncols
     support: list[int] = []
@@ -337,7 +334,7 @@ def _girth_floor(h: SparseBitMatrix) -> int:
         return 0
     if girth_value not in (6, 8):
         return 0
-    return tanner_lower_bound(girth_value, min(len(c) for c in h.col_support))
+    return tanner_lower_bound(girth_value, int(h.col_weights.min()))
 
 
 def _support_search(h: SparseBitMatrix, budget: int, seed=None) -> DistanceResult:
@@ -374,7 +371,7 @@ def min_distance(h: SparseBitMatrix, budget: int = 6, seed=None) -> DistanceResu
         )
     if k <= ENUM_DIM_CAP:
         basis = _basis(echelon, pivots, h.ncols)
-        w, cw = _min_weight_enumeration(_pack(h.ncols, [np.flatnonzero(v) for v in basis]))
+        w, cw = _min_weight_enumeration(_pack(len(basis), h.ncols, *np.nonzero(basis)))
         witness = frozenset(np.flatnonzero(_bits(cw[None], np.arange(h.ncols))).tolist())
         if not columns_sum_zero(h, witness):
             raise StructureViolationError("enumerated minimum-weight word is not a codeword")

@@ -2,13 +2,13 @@
 
 `build_h` assembles the sparse 0/1 matrix whose rows are the canonical
 lines and whose columns are the canonical points of a symmetric-matrix
-space; entry (i, j) is 1 exactly when line i contains point j.  It reads
-the space's member array through `SparseBitMatrix.from_flat`, which
-checks and transposes the rows as numpy arrays.  The same matrix doubles
-as the bipartite adjacency structure used for girth and diameter
-computations, and as the parity-check matrix of the two code families
-built in `codes`.  Girth and diameter come from one BFS that advances a
-block of roots at once, as uint64 bit rows per vertex.
+space; entry (i, j) is 1 exactly when line i contains point j.  It hands
+the space's member array to `SparseBitMatrix.from_flat`, which checks it
+and keeps a copy: H is stored once, as flat int64 arrays.  The same
+matrix doubles as the bipartite adjacency structure used for girth and
+diameter computations, and as the parity-check matrix of the two code
+families built in `codes`.  Girth and diameter come from one BFS that
+advances a block of roots at once, as uint64 bit rows per vertex.
 
 A line is a coset {S + xD}, so each translation X -> X + T of S_n(F_q)
 maps lines onto lines and is an automorphism of the Tanner graph of
@@ -43,31 +43,42 @@ ROOT_BLOCK = 4096
 INFINITE = float("inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseBitMatrix:
-    """A sparse binary matrix kept as consistent row and column supports."""
+    """A sparse binary matrix: each entry's column, row by row, and each row's weight.
+
+    Both are read-only int64 arrays, cols ascending within each row.  The
+    column side is `transpose()`, and the tuple supports are built on first
+    use.  Matrices are equal when their shapes and entries are.
+    """
 
     nrows: int
     ncols: int
-    row_support: tuple[tuple[int, ...], ...]
-    col_support: tuple[tuple[int, ...], ...]
+    cols: np.ndarray
+    row_weights: np.ndarray
+
+    def __post_init__(self):
+        self.cols.flags.writeable = False
+        self.row_weights.flags.writeable = False
 
     @classmethod
     def from_flat(cls, nrows: int, ncols: int, indices, weights) -> "SparseBitMatrix":
         """H from its rows' supports laid end to end: row i is the next weights[i] indices.
 
+        The shape must be nonnegative integers, and the indices and weights
+        integers that fit in int64; H keeps read-only int64 copies of them.
         One numpy pass checks the row count, that every index lies in
-        [0, ncols) and that each row strictly increases.  The column
-        supports come from one stable argsort of the indices, so each lists
-        its rows in order.  The supports share one int object per index.
+        [0, ncols) and that each row strictly increases.
         """
-        weights = np.asarray(weights, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64).ravel()
+        nrows, ncols = check_integer("nrows", nrows, 0), check_integer("ncols", ncols, 0)
+        weights = _int64("row weights", weights)
+        indices = _int64("column indices", indices).ravel()
         if len(weights) != nrows:
             raise BadParametersError(f"expected {nrows} rows, got {len(weights)}")
-        if (weights < 0).any() or weights.sum() != len(indices):
+        # a weight above the index count could wrap the int64 sum back onto it
+        if (weights < 0).any() or (weights > len(indices)).any() or weights.sum() != len(indices):
             raise BadParametersError(
-                f"row weights sum to {weights.sum()}, not the {len(indices)} indices"
+                f"row weights sum to {sum(weights.tolist())}, not the {len(indices)} indices"
             )
         row_of = np.repeat(np.arange(nrows), weights)
         # a fall inside a row (not at a row's first entry) breaks its order
@@ -78,43 +89,60 @@ class SparseBitMatrix:
             raise BadParametersError(f"row {row_of[falls[0]]} support not strictly increasing")
         if len(outside):
             raise BadParametersError(f"row {row_of[outside[0]]} has column index out of range")
-        labels = np.arange(max(nrows, ncols)).astype(object)
-        order = np.argsort(indices, kind="stable")
-        return cls(
-            nrows=nrows,
-            ncols=ncols,
-            row_support=_split(labels[indices], weights),
-            col_support=_split(labels[row_of[order]], np.bincount(indices, minlength=ncols)),
-        )
+        return cls(nrows, ncols, indices, weights)
 
     @classmethod
     def from_rows(cls, nrows: int, ncols: int, rows) -> "SparseBitMatrix":
         """H from an iterable of row supports, each an ascending sequence of ints."""
-        rows = [[int(j) for j in row] for row in rows]
+        rows = [list(row) for row in rows]
         return cls.from_flat(nrows, ncols, list(chain.from_iterable(rows)), list(map(len, rows)))
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, column) of every entry, row-major, as `np.nonzero(self.toarray())` orders them."""
+        return np.repeat(np.arange(self.nrows), self.row_weights), self.cols
 
     def transpose(self) -> "SparseBitMatrix":
         """The transpose: one instance per matrix, so its cached results are shared."""
 
         def build():
-            return SparseBitMatrix(
-                nrows=self.ncols,
-                ncols=self.nrows,
-                row_support=self.col_support,
-                col_support=self.row_support,
-            )
+            order = np.argsort(self.cols, kind="stable")  # each column's rows in order
+            weights = np.bincount(self.cols, minlength=self.ncols)
+            return SparseBitMatrix(self.ncols, self.nrows, self.nonzero()[0][order], weights)
 
         return self._cached("transpose", build)
 
     @property
+    def col_weights(self) -> np.ndarray:
+        return self.transpose().row_weights
+
+    @cached_property
+    def row_support(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's columns, as a tuple of ints."""
+        entries = iter(self.cols.tolist())
+        return tuple(tuple(islice(entries, k)) for k in self.row_weights.tolist())
+
+    @cached_property
+    def col_support(self) -> tuple[tuple[int, ...], ...]:
+        """Each column's rows, as a tuple of ints."""
+        return self.transpose().row_support
+
+    @property
     def edge_count(self) -> int:
-        return sum(len(r) for r in self.row_support)
+        return len(self.cols)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros((self.nrows, self.ncols), dtype=np.uint8)
-        for i, row in enumerate(self.row_support):
-            out[i, list(row)] = 1
+        out[self.nonzero()] = 1
         return out
+
+    def _key(self):
+        return self.nrows, self.ncols, self.row_weights.tobytes(), self.cols.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, SparseBitMatrix) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def _derived(self) -> dict:
@@ -133,10 +161,12 @@ class SparseBitMatrix:
         return derived[key]
 
 
-def _split(flat: np.ndarray, weights: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Consecutive runs of weights[i] entries of a flat object array, as tuples."""
-    items = iter(flat.tolist())
-    return tuple(tuple(islice(items, k)) for k in weights.tolist())
+def _int64(name: str, values) -> np.ndarray:
+    """values as a new int64 array; refused unless all are integers that fit in int64."""
+    values = np.asarray(values)
+    if values.size and (values.dtype.kind not in "iu" or values.max() > np.iinfo(np.int64).max):
+        raise BadParametersError(f"{name} must be integers that fit in 64 bits")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -172,14 +202,11 @@ def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
     """
     n, q = check_integer("n", n, 1), check_integer("q", q, 2)
     gamma = (q**n - 1) // (q - 1)
-    for i, row in enumerate(h.row_support):
-        if len(row) != q:
-            raise StructureViolationError(f"row {i} has weight {len(row)}, expected {q}")
-    for j, col in enumerate(h.col_support):
-        if len(col) != gamma:
-            raise StructureViolationError(
-                f"column {j} has weight {len(col)}, expected {gamma}"
-            )
+    for side, weights, wanted in (("row", h.row_weights, q), ("column", h.col_weights, gamma)):
+        wrong = np.flatnonzero(weights != wanted)
+        if len(wrong):
+            i = wrong[0]
+            raise StructureViolationError(f"{side} {i} has weight {weights[i]}, expected {wanted}")
     # two rows sharing two columns close a 4-cycle, which is also two
     # columns sharing two rows, so the row pairs cover both
     lambda_max = 0
@@ -250,11 +277,11 @@ def _line_point_orbits(h: SparseBitMatrix, p: int, digits: int):
     compared entry by entry, and no two rows may map to the same row.
     None when a generator fails.  The generators step every base-p digit of
     the p^digits columns, so the columns are one orbit, with minimum 0.
+    Rows of unequal weights, or of weight below 2, also give None.
     """
-    row_side, col_side = edge_slots(h)
-    support = row_side // col_side.shape[1]  # a short row's sentinel gives ncols
-    if support.shape[1] < 2 or (support == h.ncols).any():
+    if not h.nrows or h.row_weights.min() < 2 or np.ptp(h.row_weights):
         return None
+    support = h.cols.reshape(h.nrows, -1)
     keys = support[:, 0] * h.ncols + support[:, 1]
     order = np.argsort(keys)
     keys = keys[order]
@@ -296,7 +323,7 @@ def _orbit_minima(maps, size: int) -> list[int]:
 
 
 def edge_slots(h: SparseBitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """H's one edge layout, (row_side, col_side), built per call.
+    """H's one edge layout, (row_side, col_side), built per call from h's arrays.
 
     row_side[i, k] holds the column-side slot j * col_wt + k' of row i's
     k-th edge, and col_side[j, k'] the row-side slot i * row_wt + k of the
@@ -304,8 +331,7 @@ def edge_slots(h: SparseBitMatrix) -> tuple[np.ndarray, np.ndarray]:
     their edges in support order.  Padding, a zero-weight row's included,
     points at the sentinel slot past the other side.
     """
-    row_deg = np.fromiter(map(len, h.row_support), dtype=np.int64)
-    col_of_edge = np.fromiter(chain.from_iterable(h.row_support), dtype=np.int64)
+    row_deg, col_of_edge = h.row_weights, h.cols
     col_deg = np.bincount(col_of_edge, minlength=h.ncols)
     # width >= 1 on the column side: an edgeless graph's columns read the sentinel
     row_wt, col_wt = row_deg.max(initial=0), col_deg.max(initial=1)

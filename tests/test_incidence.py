@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from symldpc import (
     SparseBitMatrix,
+    SumProductDecoder,
     build_h,
     diameter,
     gallager_random,
     girth,
     make_code,
     point_graph_components,
+    rank_gf2,
     sym_space,
     verify_structure,
 )
@@ -317,7 +319,7 @@ def test_point_graph_components_uses_point_bfs_cap(monkeypatch):
 def test_caps_reject_runaway_instances():
     with pytest.raises(TooLargeError):
         build_h(sym_space(4, 4))
-    huge = SparseBitMatrix(nrows=1 << 20, ncols=1, row_support=(), col_support=())
+    huge = SparseBitMatrix.from_flat(1 << 20, 1, [], np.zeros(1 << 20, dtype=np.int64))
     with pytest.raises(TooLargeError):
         girth(huge)
     with pytest.raises(TooLargeError):
@@ -537,6 +539,17 @@ def test_structure_refuses_parameters_outside_the_family(n, q):
         (2, 4, [1, 0, 2], [2, 1], "row 0 support not strictly increasing"),
         (2, 4, [0, 1, 4], [2, 1], "row 1 has column index out of range"),
         (2, 4, [-1, 0, 2], [2, 1], "row 0 has column index out of range"),
+        # fractions, strings, bools and indices past int64 used to be cast or overflow
+        (2, 3, [0.5, 1.7, 2.2], [2, 1], "column indices must be integers that fit in 64 bits"),
+        (1, 3, ["1", "2"], [2], "column indices must be integers"),
+        (1, 3, [True], [1], "column indices must be integers"),
+        (1, 3, [2**63], [1], "column indices must be integers that fit in 64 bits"),
+        (1, 3, [2**64], [1], "column indices must be integers that fit in 64 bits"),
+        (1, 3, [0], [1.6], "row weights must be integers"),
+        (2, -3, [], [0, 0], "ncols must be an integer >= 0"),
+        # an int64 sum of these wraps to 0, and np.repeat then crashed the interpreter
+        (4, 3, [], [2**62] * 4, f"row weights sum to {2**64}, not the 0 indices"),
+        (2.0, 3, [0, 1], [1, 1], "nrows must be an integer >= 0"),
     ],
 )
 def test_from_flat_refusals_are_typed(nrows, ncols, indices, weights, message):
@@ -549,3 +562,45 @@ def test_from_flat_refusals_are_typed(nrows, ncols, indices, weights, message):
             start += w
         with pytest.raises(BadParametersError, match=message):
             SparseBitMatrix.from_rows(nrows, ncols, rows)
+
+
+def test_matrix_arrays_are_read_only_copies():
+    space = sym_space(2, 3)
+    h = build_h(space)
+    # build_h hands over the space's cached member array; h keeps its own copy
+    assert not np.shares_memory(h.cols, space.line_array())
+    for array in (h.cols, h.row_weights, h.transpose().cols, h.transpose().row_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    cols = space.line_array().copy()
+    weights = np.full(len(cols), space.q)
+    mine = SparseBitMatrix.from_flat(h.nrows, h.ncols, cols, weights)
+    cached = (girth(mine), rank_gf2(mine))
+    cols[:] = 0
+    weights[:] = 1
+    assert mine == h and mine.transpose() == h.transpose()
+    assert (girth(mine), rank_gf2(mine)) == cached == (girth(h), rank_gf2(h))
+    # computed after the caller's change, from h's own arrays
+    assert rank_gf2(mine.transpose()) == rank_gf2(h.transpose())
+
+
+@pytest.mark.parametrize("family", ["symmetric", "symmetric_transpose"])
+def test_array_readers_build_no_tuple_view(family):
+    h = make_code(family, 2, 3).h
+    girth(h), diameter(h), rank_gf2(h), incidence.translation_roots(h)
+    SumProductDecoder(h)
+    incidence.edge_slots(h)
+    for m in (h, h.transpose()):
+        assert "row_support" not in vars(m) and "col_support" not in vars(m)
+
+
+def test_orbit_check_lays_out_no_edges(monkeypatch):
+    roots = incidence.translation_roots(make_code("symmetric", 2, 3).h)
+
+    def refuse(h):
+        raise AssertionError("edge_slots called")
+
+    monkeypatch.setattr(incidence, "edge_slots", refuse)
+    # one root per line direction, (q^n - 1) / (q - 1) = 4, and one for the points
+    assert len(roots) == 5
+    assert incidence.translation_roots(make_code("symmetric", 2, 3).h) == roots
