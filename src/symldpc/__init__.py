@@ -18,6 +18,7 @@ from .codes import (
     certified_stopping_distance,
     ctranspose_witness,
     gallager_random,
+    geometry_dimension,
     independent_row_family,
     make_code,
     sym_space,
@@ -86,6 +87,7 @@ __all__ = [
     "factor_prime_power",
     "field_of_size",
     "gallager_random",
+    "geometry_dimension",
     "girth",
     "independent_row_family",
     "is_stopping_set",

@@ -46,12 +46,16 @@ from .incidence import SparseBitMatrix, diameter, girth, translation_roots, veri
 
 
 def write_alist(h: SparseBitMatrix, path) -> None:
-    blocks = (h.col_support, h.row_support)
-    widths = [max((len(s) for s in block), default=0) for block in blocks]
+    """Write h as an alist, each block of lists from one side's `cols` and `row_weights` arrays."""
+    sides = (h.transpose(), h)
+    widths = [int(side.row_weights.max(initial=0)) for side in sides]
     lines = [f"{h.ncols} {h.nrows}", " ".join(map(str, widths))]
-    lines += (" ".join(str(len(s)) for s in block) for block in blocks)
-    for block, width in zip(blocks, widths):
-        lines += (" ".join([str(i + 1) for i in s] + ["0"] * (width - len(s))) for s in block)
+    lines += (" ".join(map(str, side.row_weights.tolist())) for side in sides)
+    for side, width in zip(sides, widths):
+        # each list's 1-based entries in order, then 0s up to the block's width
+        padded = np.zeros((side.nrows, width), dtype=np.int64)
+        padded[np.arange(width) < side.row_weights[:, None]] = side.cols + 1
+        lines += (" ".join(map(str, row)) for row in padded.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -215,7 +219,12 @@ def _run_check(check: str, code: codes.CodeSpec, budget: int | None) -> dict:
         value = (girth if check == "girth" else diameter)(h)
         return {"status": "ok", "value": _jsonable(value), "roots": len(translation_roots(h))}
     if check == "rank":
-        return {"status": "ok", "value": code.length - code.dimension, "dimension": code.dimension}
+        return {
+            "status": "ok",
+            "value": code.length - code.dimension,
+            "dimension": code.dimension,
+            "method": code.dimension_method,
+        }
     if check == "mindist":
         budgets = {} if budget is None else {"budget": budget}
         return _distance_entry(gf2.min_distance(h, seed=code.witness, **budgets))

@@ -12,6 +12,26 @@ and `CodeSpec.witness` builds it once per code, on first use.
 A witness seeds the `gf2` distance searches, as `certified_min_distance`
 and `certified_stopping_distance` do.  `independent_row_family` selects
 rows that are provably independent, which pins the rank from below.
+
+For odd q the dimension of either geometry code is a count of characters
+(`geometry_dimension`), not an elimination.  The group G = (F_q^N, +),
+N = n(n+1)/2, has odd order, so F_2[G] is semisimple (Maschke).  Over an
+extension K of F_2 that holds the p-th roots of unity, it splits into one
+line per character chi_A(X) = psi(A . X), one for each point A, where psi
+is a nontrivial additive character of F_q and A . X the dot product of
+entry vectors.  The rows of H(n,q) are the translates of the indicators of
+the subgroups {xD : x in F_q}, one per direction D, so the row space is
+the ideal they generate: the sum of the lines of the characters that some
+indicator does not kill.  Summed over {xD}, chi_A gives q, which is 1 in
+K, when A . D = 0, and 0 otherwise.  Rank does not change with the field,
+so rank H = q^N - #{A : A . D != 0 for every D}.  Hence dim C(n,q) is that
+anisotropic count (`SymSpace.anisotropic_count`), and dim CT(n,q) is the
+number of lines minus rank H.  A . (u u^T) is a quadratic form in u, so
+the count is that of the anisotropic forms, and for n >= 3 it is 0: every
+quadratic form in 3 or more variables has a nonzero zero
+(Chevalley-Warning; Lidl and Niederreiter, *Finite Fields*, ch. 6).
+`CodeSpec.dimension` counts only when h is exactly the matrix that
+`make_code(family, n, q)` builds, and eliminates otherwise.
 """
 
 from __future__ import annotations
@@ -28,14 +48,18 @@ from .exceptions import (
     StructureViolationError,
     check_integer,
 )
-from .gf import field_of_size
+from .gf import factor_prime_power, field_of_size
 from .incidence import SparseBitMatrix, build_h
 from .incidence import girth as graph_girth
-from .symspace import SymSpace
+from .symspace import EDGE_CAP, SymSpace
 
 FAMILY_SYMMETRIC = "symmetric"
 FAMILY_TRANSPOSE = "symmetric_transpose"
 FAMILY_GALLAGER = "gallager_random"
+
+# how CodeSpec.dimension was found
+DIMENSION_CHARACTER_COUNT = "character_count"
+DIMENSION_ELIMINATION = "elimination"
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +90,21 @@ class CodeSpec:
         return self.h.ncols
 
     @cached_property
+    def dimension_method(self) -> str:
+        """How `dimension` is found: by character count or by elimination."""
+        built = _is_built_odd_geometry(self.family, self.n, self.q, self.h)
+        return DIMENSION_CHARACTER_COUNT if built else DIMENSION_ELIMINATION
+
+    @cached_property
     def dimension(self) -> int:
+        """dim of the null space of h, computed on first use.
+
+        `geometry_dimension` counts it when q is odd and h is exactly the
+        matrix that `make_code(family, n, q)` builds; any other h, including
+        a permuted or altered one, is eliminated over GF(2).
+        """
+        if self.dimension_method == DIMENSION_CHARACTER_COUNT:
+            return geometry_dimension(self.family, self.n, self.q)
         return gf2.code_dimension(self.h)
 
     @property
@@ -93,12 +131,16 @@ class CodeSpec:
         return graph_girth(self.h)
 
 
-def make_code(family: str, n: int, q: int) -> CodeSpec:
-    """Build the symmetric-geometry code or its transpose counterpart."""
+def _check_family(family: str) -> None:
     if family not in (FAMILY_SYMMETRIC, FAMILY_TRANSPOSE):
         raise BadParametersError(
             f"unknown family {family!r}; expected {FAMILY_SYMMETRIC!r} or {FAMILY_TRANSPOSE!r}"
         )
+
+
+def make_code(family: str, n: int, q: int) -> CodeSpec:
+    """Build the symmetric-geometry code or its transpose counterpart."""
+    _check_family(family)
     h = build_h(sym_space(n, q))
     if family == FAMILY_SYMMETRIC:
         return CodeSpec(family=family, h=h, code_id=f"C({n},{q})", n=n, q=q)
@@ -190,6 +232,49 @@ def independent_row_family(n: int, q: int) -> frozenset[int]:
     return frozenset(selected)
 
 
+def _shape(n: int, q: int) -> tuple[int, int]:
+    """(lines, points) of S_n(F_q): (q^n - 1)/(q - 1) * q^((n^2+n-2)/2) and q^(n(n+1)/2)."""
+    return (q**n - 1) // (q - 1) * q ** ((n * n + n - 2) // 2), q ** (n * (n + 1) // 2)
+
+
+def _is_built_odd_geometry(family: str, n: int | None, q: int | None, h: SparseBitMatrix) -> bool:
+    """True when q is an odd prime power and h is exactly `make_code(family, n, q).h`.
+
+    The shape and entry count are compared first, from closed forms, so an
+    (n, q) that does not fit h never enumerates lines; then the rows, lines
+    by points, are compared with the space's member array.
+    """
+    if family not in (FAMILY_SYMMETRIC, FAMILY_TRANSPOSE) or n is None or q is None or q % 2 == 0:
+        return False
+    lines, points = _shape(n, q)
+    shape = (lines, points) if family == FAMILY_SYMMETRIC else (points, lines)
+    if (h.nrows, h.ncols) != shape or h.edge_count != lines * q or lines * q > EDGE_CAP:
+        return False
+    try:
+        factor_prime_power(q)
+    except BadParametersError:
+        return False
+    oriented = h if family == FAMILY_SYMMETRIC else h.transpose()
+    members = sym_space(n, q).line_array().ravel()
+    return bool((oriented.row_weights == q).all()) and np.array_equal(oriented.cols, members)
+
+
+def geometry_dimension(family: str, n: int, q: int) -> int:
+    """dim C(n,q) or dim CT(n,q) for odd q, by the character count of the module docstring.
+
+    dim C(n,q) is the anisotropic count, and dim CT(n,q) is the number of
+    lines less rank H(n,q), which is q^N less that count.
+    """
+    _check_family(family)
+    space = sym_space(n, q)
+    if q % 2 == 0:
+        raise BadCharacteristicError(f"the character count needs odd q, got {q}")
+    anisotropic = space.anisotropic_count()
+    if family == FAMILY_SYMMETRIC:
+        return anisotropic
+    return space.line_count() - (space.size - anisotropic)
+
+
 def symmetric_dimension_bound(n: int, q: int) -> int:
     """Upper bound q^((n^2-n)/2) * (q-1)^n on the symmetric-family dimension."""
     return q ** ((n * n - n) // 2) * (q - 1) ** n
@@ -197,8 +282,7 @@ def symmetric_dimension_bound(n: int, q: int) -> int:
 
 def transpose_dimension_bound(n: int, q: int) -> int:
     """Upper bound r - c + symmetric bound on the transpose-family dimension."""
-    r = (q**n - 1) // (q - 1) * q ** ((n * n + n - 2) // 2)
-    c = q ** (n * (n + 1) // 2)
+    r, c = _shape(n, q)
     return r - c + symmetric_dimension_bound(n, q)
 
 

@@ -22,9 +22,7 @@ the reported value or only proved a lower bound within its budget.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -144,23 +142,34 @@ def null_space_basis(h: SparseBitMatrix) -> np.ndarray:
     return _basis(*_reduced(h), h.ncols)
 
 
-def _row_hits(h: SparseBitMatrix, cols) -> Counter:
-    """How often each row is hit, from the columns' supports; a column outside h is refused."""
+def _row_hits(h: SparseBitMatrix, cols) -> np.ndarray:
+    """How often the columns hit each row, as an array over h's rows; a column outside h is refused.
+
+    The columns' supports are read off the transpose's arrays, where
+    column j's rows are a run of row_weights[j] entries of its `cols`.
+    """
     cols = list(cols)
     if outside := [j for j in cols if not 0 <= j < h.ncols]:
         raise BadParametersError(f"column {outside[0]} is outside the {h.ncols} columns of h")
-    return Counter(chain.from_iterable(h.col_support[j] for j in cols))
+    side = h.transpose()
+    cols = np.array(cols, dtype=np.int64)
+    weights = side.row_weights[cols]
+    starts = np.cumsum(side.row_weights)[cols] - weights
+    # the runs laid end to end: each entry is its run's start plus its place in the run
+    run_of = np.repeat(np.arange(len(cols)), weights)
+    at = starts[run_of] + np.arange(len(run_of)) - (np.cumsum(weights) - weights)[run_of]
+    return np.bincount(side.cols[at], minlength=h.nrows)
 
 
 def columns_sum_zero(h: SparseBitMatrix, cols) -> bool:
     """True when the chosen columns sum to zero over GF(2): every row count is even."""
-    return all(count % 2 == 0 for count in _row_hits(h, cols).values())
+    return not (_row_hits(h, cols) % 2).any()
 
 
 def is_stopping_set(h: SparseBitMatrix, cols) -> bool:
     """True when every row meets the nonempty column set in 0 or >= 2 positions."""
     sel = set(int(j) for j in cols)
-    return bool(sel) and 1 not in _row_hits(h, sel).values()
+    return bool(sel) and not (_row_hits(h, sel) == 1).any()
 
 
 def _min_weight_enumeration(basis: np.ndarray) -> tuple[int, np.ndarray]:

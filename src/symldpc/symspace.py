@@ -16,8 +16,8 @@ Point arithmetic past single points runs on one cached set of arrays:
 the field's addition and multiplication tables and the place value q^k
 of entry k.  `_sums` adds rows of step entries to rows of point entries
 and returns the sums' indices, and `_matmul` multiplies matrices over
-the field.  Line members, rank-1 neighbours, the BFS layers, ranks and
-motions all go through them.
+the field.  Line members, rank-1 neighbours, the BFS layers, ranks,
+motions and the anisotropic count all go through them.
 
 The enumeration is one (r, q) integer array, `line_array()`: per
 direction D, the q members of the line through every base point whose
@@ -341,6 +341,20 @@ class SymSpace:
         if len(set(ents)) != self.q**self.n - 1:
             raise StructureViolationError(f"{len(set(ents))} distinct rank-1 points, expected q^n - 1")
         return ents
+
+    def anisotropic_count(self) -> int:
+        """Number of points A with A . D != 0 for every direction D.
+
+        A . D is the field dot product of the entry vectors, so A . (u u^T)
+        is a quadratic form in u and this counts the forms with no nonzero
+        zero.  One pass per direction keeps the entry rows of the points
+        still counted, so no array is larger than the points' entries.
+        """
+        place = self._tables[2]
+        alive = np.arange(self.size)[:, None] // place % self.q
+        for d_ent in self.direction_entries():
+            alive = alive[self._matmul(alive, np.array(d_ent)[:, None])[:, 0] != 0]
+        return len(alive)
 
     def rank_one_entries(self) -> tuple[tuple[int, ...], ...]:
         """Entry vectors of all q^n - 1 rank-1 points, c * u u^T for c != 0."""

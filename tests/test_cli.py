@@ -38,6 +38,18 @@ def test_alist_round_trip_random(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("alist") / "m.alist"
     write_alist(h, path)
     assert read_alist(path) == h
+    assert path.read_text() == _alist_from_views(h)
+
+
+def _alist_from_views(h: SparseBitMatrix) -> str:
+    """The alist text written from the tuple views, the writer's former form."""
+    blocks = (h.col_support, h.row_support)
+    widths = [max((len(s) for s in block), default=0) for block in blocks]
+    lines = [f"{h.ncols} {h.nrows}", " ".join(map(str, widths))]
+    lines += (" ".join(str(len(s)) for s in block) for block in blocks)
+    for block, width in zip(blocks, widths):
+        lines += (" ".join([str(i + 1) for i in s] + ["0"] * (width - len(s))) for s in block)
+    return "\n".join(lines) + "\n"
 
 
 def test_alist_format_layout(tmp_path):
@@ -164,6 +176,19 @@ def test_build_writes_alist_and_metadata(tmp_path):
         "gamma": 3,
         "girth": 8,
     }
+
+
+@pytest.mark.parametrize("family", ["symmetric", "symmetric_transpose"])
+def test_build_leaves_no_tuple_view_on_h(tmp_path, monkeypatch, family):
+    built = []
+    make = codes.make_code
+    monkeypatch.setattr(codes, "make_code", lambda *args: built.append(make(*args)) or built[-1])
+    out = tmp_path / "h.alist"
+    assert main(["build", "--n", "2", "--q", "3", "--family", family, "--out", str(out)]) == 0
+    h = built[0].h
+    for m in (h, h.transpose()):
+        assert "row_support" not in vars(m) and "col_support" not in vars(m)
+    assert out.read_text() == _alist_from_views(h)
 
 
 def test_build_transpose_dimensions(tmp_path):
@@ -298,6 +323,7 @@ def test_build_and_analyze_make_no_line_objects(tmp_path, capsys, monkeypatch):
     assert main(["analyze", "--infile", str(out), "--checks", checks]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["witnesses"]["independent_rows"] == 3**3 * (3**3 - 2**3)
+    assert (report["rank"]["dimension"], report["rank"]["method"]) == (0, "character_count")
     with pytest.raises(AssertionError, match="a Line object"):
         fresh(3, 3).lines()
 

@@ -243,13 +243,18 @@ def test_codespec_stores_only_what_h_cannot_give(monkeypatch):
     calls = []
     rank = gf2.rank_gf2
     monkeypatch.setattr(gf2, "rank_gf2", lambda h: calls.append(h) or rank(h))
-    code = make_code(FAMILY_TRANSPOSE, 2, 3)
+    code = make_code(FAMILY_TRANSPOSE, 2, 4)  # even q: the dimension needs an elimination
+    odd = make_code(FAMILY_TRANSPOSE, 2, 3)
     gallager = gallager_random(12, 2, 3, seed=5)
     assert calls == []  # building reads no rank
-    assert code.length == code.h.ncols == 36 and gallager.labels is None
-    assert code.dimension == 36 - rank(code.h)
-    assert code.dimension == 36 - rank(code.h)
+    assert code.length == code.h.ncols == 80 and gallager.labels is None
+    assert code.dimension == 80 - rank(code.h)
+    assert code.dimension == 80 - rank(code.h)
     assert len(calls) == 1  # the dimension is computed once, on first use
+    # odd q: the dimension is counted, with no elimination at all
+    calls.clear()
+    assert (odd.dimension, odd.dimension_method) == (36 - rank(odd.h), "character_count")
+    assert calls == []
     for bad in ({"n": "2"}, {"n": 0}, {"q": 1}, {"q": True}, {"family": None}):
         with pytest.raises(BadParametersError):
             CodeSpec(**{"family": FAMILY_TRANSPOSE, "h": code.h, "code_id": "x", **bad})

@@ -1,9 +1,11 @@
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +381,32 @@ def test_support_checks_refuse_a_column_outside_h(ct22, check, shift):
     assert check(ct22.h, witness)
     with pytest.raises(BadParametersError, match="outside the 12 columns"):
         check(ct22.h, [j + shift for j in witness])
+
+
+def _views(h: SparseBitMatrix) -> list[str]:
+    """The tuple views that h or its transpose holds."""
+    return [k for m in (h, h.transpose()) for k in ("row_support", "col_support") if k in vars(m)]
+
+
+@pytest.mark.parametrize(
+    "family, q, witness",
+    [(FAMILY_TRANSPOSE, 4, ctranspose_witness(2, 4)), (FAMILY_SYMMETRIC, 4, c2q_witness(4)),
+     (FAMILY_TRANSPOSE, 3, ctranspose_witness(2, 3)), (FAMILY_SYMMETRIC, 3, frozenset())],
+)
+def test_support_checks_read_the_arrays_and_agree_with_the_views(family, q, witness):
+    h = make_code(family, 2, q).h  # a fresh matrix, holding no view
+    views = SparseBitMatrix.from_flat(h.nrows, h.ncols, h.cols, h.row_weights)
+
+    def hits(cols):  # the checks' former form: a Counter over the column views
+        return Counter(chain.from_iterable(views.col_support[j] for j in cols)).values()
+
+    rng = random.Random(q)
+    picks = [list(witness), [*witness, *witness], sorted(witness)[1:], [0, 0]]
+    picks += [[rng.randrange(h.ncols) for _ in range(rng.randint(0, 2 * q))] for _ in range(300)]
+    for cols in picks:
+        assert columns_sum_zero(h, cols) == all(c % 2 == 0 for c in hits(cols))
+        assert is_stopping_set(h, cols) == (bool(cols) and 1 not in hits(set(cols)))
+    assert columns_sum_zero(h, witness) and _views(h) == []
 
 
 def test_tanner_lower_bound():
