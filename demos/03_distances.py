@@ -22,7 +22,7 @@ for family, n, q, stop_budget in [
     s_text = f"s={st.value}" if st.exact else f"s>={st.value}"
     print(f"  {code.code_id}: [{code.length},{code.dimension}] "
           f"d={d.value} ({d.method}), {s_text}, "
-          f"girth bound {s.tanner_lower_bound(8, len(code.h.col_support[0]))}")
+          f"girth bound {s.tanner_lower_bound(8, int(code.h.col_weights[0]))}")
 
 # the support search also finds the 2q lines, within a budget of 2q
 code = s.make_code(s.FAMILY_TRANSPOSE, 2, 5)

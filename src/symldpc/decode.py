@@ -49,11 +49,11 @@ a received amplitude y is 2y/sigma^2 (positive means bit 0 more likely).
 
 The peeler works on Python-int bitmasks: bit j of a mask is column j.  A
 word is two masks, its erased bits and its known ones, and each check is
-its row mask, cached once per matrix by SparseBitMatrix._cached on the
-peeler's first call.  Erased counts and parities are popcounts of ANDs,
-and resolving a degree-1 check touches only the checks on that one
-column.  The peeling order does not change the outcome (the argument is
-in peel_decode_bec's docstring), so the queue order is free.
+its row mask.  The masks and each column's rows are one entry of
+SparseBitMatrix._cached, built from `supports()` on the first call.
+Erased counts and parities are popcounts of ANDs, and resolving a
+degree-1 check touches only the checks on its one column.  The peeling
+order is free: it does not change the outcome (see peel_decode_bec).
 
 Both decoders report `syndrome_ok` from the parity they already track: BP
 stops a word only when its hard decisions satisfy every check, and the
@@ -334,9 +334,9 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
     set.  A fully known check with odd parity raises InconsistentError.
 
     The word is two int bitmasks over the columns, `erased` and `ones`, and
-    each check is its row mask, cached on h: a check's erased count is
-    (erased & r).bit_count() and the parity of its known bits is
-    (ones & r).bit_count() & 1.
+    each check is its row mask, cached on h with each column's rows: a
+    check's erased count is (erased & r).bit_count() and the parity of its
+    known bits is (ones & r).bit_count() & 1.
 
     The queue order is free: neither the word returned nor whether
     InconsistentError is raised depends on it.  Every order resolves the
@@ -359,8 +359,9 @@ def peel_decode_bec(code: CodeSpec, received) -> DecodeOutcome:
     if received.ndim != 1 or not (erased_at | one_at | (received == 0)).all():
         raise BadParametersError("received symbols must be 0, 1 or ERASED")
 
-    masks = h._cached("row_masks", lambda: tuple(sum(1 << j for j in r) for r in h.row_support))
-    cols = h.col_support
+    masks, cols = h._cached(
+        "peel", lambda: ([sum(1 << j for j in r) for r in h.supports()], h.transpose().supports())
+    )
     erased = unresolved = _bitmask(erased_at)
     ones = _bitmask(one_at)
     count = [(erased & r).bit_count() for r in masks]

@@ -256,7 +256,7 @@ def _smallest_support(h: SparseBitMatrix, budget: int, limit: int, holds, seed) 
             witness=None,
             method=METHOD_SUPPORT_SEARCH,
         )
-    rows, cols = h.row_support, h.col_support
+    rows, cols = h.supports(), h.transpose().supports()
     gamma_max = int(h.col_weights.max(initial=0))
     hits = [0] * h.nrows
     in_support = [False] * h.ncols

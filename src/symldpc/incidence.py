@@ -47,9 +47,10 @@ INFINITE = float("inf")
 class SparseBitMatrix:
     """A sparse binary matrix: each entry's column, row by row, and each row's weight.
 
-    Both are read-only int64 arrays, cols ascending within each row.  The
-    column side is `transpose()`, and the tuple supports are built on first
-    use.  Matrices are equal when their shapes and entries are.
+    Both are read-only int64 arrays, H's one copy, cols ascending within
+    each row.  The column side is `transpose()`, whose transpose is this
+    matrix, and `supports()` lists the rows' columns anew on each call.
+    Matrices are equal when their shapes and entries are.
     """
 
     nrows: int
@@ -107,7 +108,9 @@ class SparseBitMatrix:
         def build():
             order = np.argsort(self.cols, kind="stable")  # each column's rows in order
             weights = np.bincount(self.cols, minlength=self.ncols)
-            return SparseBitMatrix(self.ncols, self.nrows, self.nonzero()[0][order], weights)
+            flipped = SparseBitMatrix(self.ncols, self.nrows, self.nonzero()[0][order], weights)
+            flipped._derived["transpose"] = self  # exact: the stable sort keeps rows ascending
+            return flipped
 
         return self._cached("transpose", build)
 
@@ -115,16 +118,10 @@ class SparseBitMatrix:
     def col_weights(self) -> np.ndarray:
         return self.transpose().row_weights
 
-    @cached_property
-    def row_support(self) -> tuple[tuple[int, ...], ...]:
-        """Each row's columns, as a tuple of ints."""
+    def supports(self) -> list[list[int]]:
+        """Each row's columns, as a new list of ints per row on every call."""
         entries = iter(self.cols.tolist())
-        return tuple(tuple(islice(entries, k)) for k in self.row_weights.tolist())
-
-    @cached_property
-    def col_support(self) -> tuple[tuple[int, ...], ...]:
-        """Each column's rows, as a tuple of ints."""
-        return self.transpose().row_support
+        return [list(islice(entries, k)) for k in self.row_weights.tolist()]
 
     @property
     def edge_count(self) -> int:
@@ -210,12 +207,14 @@ def verify_structure(h: SparseBitMatrix, n: int, q: int) -> StructureReport:
     # two rows sharing two columns close a 4-cycle, which is also two
     # columns sharing two rows, so the row pairs cover both
     lambda_max = 0
+    row_cols = h.cols.reshape(h.nrows, q)
+    col_rows = h.transpose().cols.reshape(h.ncols, gamma)
     for r in translation_roots(h):
         if r >= h.nrows:
             break
         met: dict[int, int] = {}
-        for j in h.row_support[r]:
-            for i in h.col_support[j]:
+        for j, rows in zip(row_cols[r].tolist(), col_rows.take(row_cols[r], axis=0).tolist()):
+            for i in rows:
                 if i == r:
                     continue
                 if i in met:

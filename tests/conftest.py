@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 import symldpc as s
@@ -36,3 +38,21 @@ def ct24():
 @pytest.fixture(scope="session")
 def c32():
     return s.make_code(s.FAMILY_SYMMETRIC, 3, 2)
+
+
+def supports(h):
+    """(row supports, column supports) of h as lists, built once for a test to index freely."""
+    return h.supports(), h.transpose().supports()
+
+
+def per_entry_lists(h) -> list[str]:
+    """Keys of h's and its transpose's caches holding lists or tuples of an int per entry of h.
+
+    Such a cache is a second copy of H beside its arrays, kept as long as h lives.
+    """
+
+    def ints(value) -> int:
+        return sum(map(ints, value)) if isinstance(value, (list, tuple)) else isinstance(value, int)
+
+    caches = chain(h._derived.items(), h.transpose()._derived.items())
+    return [key for key, value in caches if ints(value) >= h.edge_count]

@@ -134,7 +134,7 @@ def test_criterion_07_dimensions(c22, ct22, c24, ct24):
         assert tcode.dimension <= s.transpose_dimension_bound(n, q)
         rows = s.independent_row_family(n, q)
         sub = s.SparseBitMatrix.from_rows(
-            len(rows), code.h.ncols, (code.h.row_support[i] for i in sorted(rows))
+            len(rows), code.h.ncols, (r for i, r in enumerate(code.h.supports()) if i in rows)
         )
         assert s.rank_gf2(sub) == len(rows)
         assert s.rank_gf2(code.h) >= len(rows)

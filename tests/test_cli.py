@@ -11,6 +11,8 @@ from symldpc.exceptions import BadParametersError
 from symldpc.incidence import SparseBitMatrix
 from symldpc.symspace import SymSpace
 
+from conftest import per_entry_lists
+
 
 def test_alist_round_trip_built_instance(tmp_path):
     h = build_h(sym_space(2, 3))
@@ -38,12 +40,12 @@ def test_alist_round_trip_random(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("alist") / "m.alist"
     write_alist(h, path)
     assert read_alist(path) == h
-    assert path.read_text() == _alist_from_views(h)
+    assert path.read_text() == _alist_from_supports(h)
 
 
-def _alist_from_views(h: SparseBitMatrix) -> str:
-    """The alist text written from the tuple views, the writer's former form."""
-    blocks = (h.col_support, h.row_support)
+def _alist_from_supports(h: SparseBitMatrix) -> str:
+    """The alist text written from the column and row supports, the writer's former form."""
+    blocks = (h.transpose().supports(), h.supports())
     widths = [max((len(s) for s in block), default=0) for block in blocks]
     lines = [f"{h.ncols} {h.nrows}", " ".join(map(str, widths))]
     lines += (" ".join(str(len(s)) for s in block) for block in blocks)
@@ -186,9 +188,7 @@ def test_build_leaves_no_tuple_view_on_h(tmp_path, monkeypatch, family):
     out = tmp_path / "h.alist"
     assert main(["build", "--n", "2", "--q", "3", "--family", family, "--out", str(out)]) == 0
     h = built[0].h
-    for m in (h, h.transpose()):
-        assert "row_support" not in vars(m) and "col_support" not in vars(m)
-    assert out.read_text() == _alist_from_views(h)
+    assert out.read_text() == _alist_from_supports(h) and per_entry_lists(h) == []
 
 
 def test_build_transpose_dimensions(tmp_path):

@@ -29,6 +29,7 @@ from symldpc import gf2
 from symldpc.exceptions import BadCharacteristicError, BadParametersError, StructureViolationError
 from symldpc.incidence import SparseBitMatrix
 
+from conftest import supports
 from fixture_h22 import DEPENDENT_TRANSPOSE_COLUMNS, L_LINES, V_POINTS
 
 
@@ -107,7 +108,7 @@ def test_independent_row_family_has_full_rank(n, q, size):
     assert len(rows) == size == q ** ((n * n - n) // 2) * (q**n - (q - 1) ** n)
     code = make_code(FAMILY_SYMMETRIC, n, q)
     sub = SparseBitMatrix.from_rows(
-        len(rows), code.h.ncols, (code.h.row_support[i] for i in sorted(rows))
+        len(rows), code.h.ncols, (r for i, r in enumerate(code.h.supports()) if i in rows)
     )
     assert rank_gf2(sub) == len(rows)
 
@@ -170,12 +171,14 @@ def test_certified_distance_not_applicable_for_symmetric(c22):
 def test_gallager_shapes_and_weights():
     g = gallager_random(12, 2, 3, seed=5)
     assert g.h.nrows == 8 and g.h.ncols == 12
-    assert all(len(r) == 3 for r in g.h.row_support)
-    assert all(len(c) == 2 for c in g.h.col_support)
+    rows, cols = supports(g.h)
+    assert all(len(r) == 3 for r in rows)
+    assert all(len(c) == 2 for c in cols)
     g2 = gallager_random(80, 3, 5, seed=5)
     assert g2.h.nrows == 48 and g2.h.ncols == 80
-    assert all(len(r) == 5 for r in g2.h.row_support)
-    assert all(len(c) == 3 for c in g2.h.col_support)
+    rows, cols = supports(g2.h)
+    assert all(len(r) == 5 for r in rows)
+    assert all(len(c) == 3 for c in cols)
 
 
 def test_gallager_determinism():
@@ -232,7 +235,7 @@ def test_c25_documented_distance_consistent_with_girth_bound():
 
     code = make_code(FAMILY_SYMMETRIC, 2, 5)
     assert code.length == 125
-    gamma = len(code.h.col_support[0])
+    gamma = int(code.h.col_weights[0])
     assert tanner_lower_bound(8, gamma) == 12 <= 20
     with pytest.raises(BadCharacteristicError):
         c2q_witness(5)  # no dependent-point witness exists in odd characteristic

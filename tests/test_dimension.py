@@ -99,14 +99,14 @@ def _without_direction(n: int, q: int, direction: int) -> SparseBitMatrix:
 
 def _entry_moved(h: SparseBitMatrix) -> SparseBitMatrix:
     """h with row 0's last entry moved to the first column outside the row."""
-    rows = [list(r) for r in h.row_support]
+    rows = h.supports()
     rows[0][-1] = next(j for j in range(h.ncols) if j not in rows[0])
     rows[0].sort()
     return SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
 
 
 def _rows_reversed(h: SparseBitMatrix) -> SparseBitMatrix:
-    return SparseBitMatrix.from_rows(h.nrows, h.ncols, h.row_support[::-1])
+    return SparseBitMatrix.from_rows(h.nrows, h.ncols, h.supports()[::-1])
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -49,6 +49,7 @@ from symldpc.gf2 import (
     _support_search,
 )
 
+from conftest import per_entry_lists, supports
 from test_acceptance import COUNT_INSTANCES
 
 
@@ -57,12 +58,12 @@ from test_acceptance import COUNT_INSTANCES
 
 def row_masks(h):
     """Rows as int bitmasks, bit j set for column j."""
-    return [sum(1 << j for j in row) for row in h.row_support]
+    return [sum(1 << j for j in row) for row in h.supports()]
 
 
 def col_masks(h):
     """Columns as int bitmasks, bit i set for row i."""
-    return [sum(1 << i for i in col) for col in h.col_support]
+    return [sum(1 << i for i in col) for col in h.transpose().supports()]
 
 
 def _dense(masks, ncols):
@@ -180,6 +181,7 @@ def reference_stopping_distance(h, budget=None):
     best = [None]
     best_support = [None]
     hits = [0] * h.nrows
+    rows, cols = supports(h)
 
     def lonely_row():
         for i, c in enumerate(hits):
@@ -198,15 +200,15 @@ def reference_stopping_distance(h, budget=None):
         limit = budget if best[0] is None else min(budget, best[0] - 1)
         if len(support) + 1 > limit:
             return
-        for j in h.row_support[row]:
+        for j in rows[row]:
             if j in in_support:
                 continue
             support.append(j)
             in_support.add(j)
-            for i in h.col_support[j]:
+            for i in cols[j]:
                 hits[i] += 1
             dfs(support, in_support)
-            for i in h.col_support[j]:
+            for i in cols[j]:
                 hits[i] -= 1
             in_support.remove(j)
             support.pop()
@@ -214,10 +216,10 @@ def reference_stopping_distance(h, budget=None):
     for j0 in range(ncols):
         if best[0] == 1:
             break
-        for i in h.col_support[j0]:
+        for i in cols[j0]:
             hits[i] += 1
         dfs([j0], {j0})
-        for i in h.col_support[j0]:
+        for i in cols[j0]:
             hits[i] -= 1
     if best[0] is None:
         return DistanceResult(budget + 1, LOWER_BOUND_ONLY, None, METHOD_SUPPORT_SEARCH)
@@ -284,7 +286,7 @@ def _columns_as_rows(h, cols):
     # submatrix with the chosen columns, re-indexed 0..len(cols)-1
     remap = {c: k for k, c in enumerate(cols)}
     rows = []
-    for row in h.row_support:
+    for row in h.supports():
         rows.append(tuple(sorted(remap[j] for j in row if j in remap)))
     return rows
 
@@ -383,22 +385,17 @@ def test_support_checks_refuse_a_column_outside_h(ct22, check, shift):
         check(ct22.h, [j + shift for j in witness])
 
 
-def _views(h: SparseBitMatrix) -> list[str]:
-    """The tuple views that h or its transpose holds."""
-    return [k for m in (h, h.transpose()) for k in ("row_support", "col_support") if k in vars(m)]
-
-
 @pytest.mark.parametrize(
     "family, q, witness",
     [(FAMILY_TRANSPOSE, 4, ctranspose_witness(2, 4)), (FAMILY_SYMMETRIC, 4, c2q_witness(4)),
      (FAMILY_TRANSPOSE, 3, ctranspose_witness(2, 3)), (FAMILY_SYMMETRIC, 3, frozenset())],
 )
 def test_support_checks_read_the_arrays_and_agree_with_the_views(family, q, witness):
-    h = make_code(family, 2, q).h  # a fresh matrix, holding no view
-    views = SparseBitMatrix.from_flat(h.nrows, h.ncols, h.cols, h.row_weights)
+    h = make_code(family, 2, q).h
+    _, col_rows = supports(h)
 
-    def hits(cols):  # the checks' former form: a Counter over the column views
-        return Counter(chain.from_iterable(views.col_support[j] for j in cols)).values()
+    def hits(cols):  # the checks' former form: a Counter over the column supports
+        return Counter(chain.from_iterable(col_rows[j] for j in cols)).values()
 
     rng = random.Random(q)
     picks = [list(witness), [*witness, *witness], sorted(witness)[1:], [0, 0]]
@@ -406,7 +403,7 @@ def test_support_checks_read_the_arrays_and_agree_with_the_views(family, q, witn
     for cols in picks:
         assert columns_sum_zero(h, cols) == all(c % 2 == 0 for c in hits(cols))
         assert is_stopping_set(h, cols) == (bool(cols) and 1 not in hits(set(cols)))
-    assert columns_sum_zero(h, witness) and _views(h) == []
+    assert columns_sum_zero(h, witness) and per_entry_lists(h) == []
 
 
 def test_tanner_lower_bound():
@@ -419,10 +416,10 @@ def test_tanner_lower_bound():
 
 def test_searched_distances_respect_girth_bound(c22, ct22, ct23, c24):
     for code in (c22, ct22, ct23, c24):
-        col_weight = len(code.h.col_support[0])
+        col_weight = int(code.h.col_weights[0])
         assert min_distance(code.h).value >= tanner_lower_bound(8, col_weight)
     for code in (c22, ct22, ct23):
-        col_weight = len(code.h.col_support[0])
+        col_weight = int(code.h.col_weights[0])
         assert stopping_distance(code.h).value >= tanner_lower_bound(8, col_weight)
 
 
@@ -511,7 +508,7 @@ def test_min_weight_past_the_doubling_table_matches_oracle(ncols, dimension):
 
 def test_min_distance_enumeration_memory(c24):
     # the whole 2^16-entry table and each XOR of it: 3.7 MB traced
-    h = SparseBitMatrix.from_rows(c24.h.nrows, c24.h.ncols, c24.h.row_support)
+    h = SparseBitMatrix.from_rows(c24.h.nrows, c24.h.ncols, c24.h.supports())
     tracemalloc.start()
     try:
         got = min_distance(h)
@@ -526,7 +523,7 @@ def test_elimination_is_computed_once_per_matrix_and_read_only(monkeypatch, ct23
     calls = []
     echelon = gf2._echelon
     monkeypatch.setattr(gf2, "_echelon", lambda h: calls.append(h) or echelon(h))
-    h = SparseBitMatrix.from_rows(ct23.h.nrows, ct23.h.ncols, ct23.h.row_support)
+    h = SparseBitMatrix.from_rows(ct23.h.nrows, ct23.h.ncols, ct23.h.supports())
     assert code_dimension(h) == h.ncols - rank_gf2(h)
     null_space_basis(h)
     min_distance(h)
@@ -535,7 +532,7 @@ def test_elimination_is_computed_once_per_matrix_and_read_only(monkeypatch, ct23
     with pytest.raises(ValueError):
         mat[0, 0] = 0
     # equal matrices do not share it
-    twin = SparseBitMatrix.from_rows(h.nrows, h.ncols, h.row_support)
+    twin = SparseBitMatrix.from_rows(h.nrows, h.ncols, h.supports())
     assert twin == h and rank_gf2(twin) == rank_gf2(h)
     assert len(calls) == 2
 
@@ -553,7 +550,7 @@ def test_elimination_matches_oracle_on_count_instances(n, q, transpose):
 def girth_floor(h):
     """The Tanner bound from h's girth and least column weight, at girth 6 or 8; else 0."""
     g = girth(h)
-    return tanner_lower_bound(g, min(len(c) for c in h.col_support)) if g in (6, 8) else 0
+    return tanner_lower_bound(g, int(h.col_weights.min())) if g in (6, 8) else 0
 
 
 def floored(h, want):

@@ -1,4 +1,5 @@
 import functools
+import random
 import tracemalloc
 from unittest import mock
 
@@ -11,25 +12,33 @@ from symldpc import (
     SparseBitMatrix,
     SumProductDecoder,
     build_h,
+    columns_sum_zero,
     diameter,
     gallager_random,
     girth,
+    is_stopping_set,
     make_code,
+    peel_decode_bec,
     point_graph_components,
     rank_gf2,
+    stopping_distance,
     sym_space,
     verify_structure,
 )
-from symldpc import incidence, symspace
+from symldpc import gf2, incidence, symspace
+from symldpc.cli import write_alist
 from symldpc.exceptions import BadParametersError, StructureViolationError, TooLargeError
+
+from conftest import per_entry_lists, supports
 
 INF = float("inf")
 
 
 def _adjacency(h):
     """Rows are vertices 0..nrows-1, columns follow."""
-    adj = [[h.nrows + j for j in row] for row in h.row_support]
-    adj.extend(list(col) for col in h.col_support)
+    rows, cols = supports(h)
+    adj = [[h.nrows + j for j in row] for row in rows]
+    adj.extend(cols)
     return adj
 
 
@@ -94,19 +103,28 @@ def test_build_h_dimensions(n, q, rows, cols):
 def test_row_and_column_supports_describe_same_matrix():
     h = build_h(sym_space(2, 3))
     dense = h.toarray()
-    for j, col in enumerate(h.col_support):
-        assert list(col) == sorted(col)
+    for j, col in enumerate(h.transpose().supports()):
+        assert col == sorted(col)
         assert [i for i in range(h.nrows) if dense[i, j]] == list(col)
 
 
 def test_transpose_is_involution():
     h = build_h(sym_space(2, 2))
-    assert h.transpose().transpose() == h
+    assert h.transpose().transpose() is h
+    ct = make_code("symmetric_transpose", 2, 4).h
+    assert ct.transpose().transpose() is ct and ct.transpose() == build_h(sym_space(2, 4))
+    # a transpose keeps its source as its own transpose; exact, because a
+    # fresh copy of the transpose transposes back to the same entries
+    for m in (h, ct, *(case() for case in EDGE_SLOT_CASES.values())):
+        t = m.transpose()
+        again = SparseBitMatrix.from_flat(t.nrows, t.ncols, t.cols, t.row_weights).transpose()
+        assert again == m and again is not m
 
 
 def test_double_counting():
     h = build_h(sym_space(3, 2))
-    assert sum(len(r) for r in h.row_support) == sum(len(c) for c in h.col_support)
+    rows, cols = supports(h)
+    assert sum(len(r) for r in rows) == sum(len(c) for c in cols)
     assert h.edge_count == 224 * 2
 
 
@@ -123,7 +141,7 @@ def test_structure_checks_pass(n, q):
 
 def test_structure_catches_perturbation():
     h = build_h(sym_space(2, 2))
-    rows = list(h.row_support)
+    rows = h.supports()
     # copying row 0 over row 11 gives columns 0 and 1 a fourth row, so the
     # column-weight check fires before the overlap check is reached
     rows[11] = rows[0]
@@ -131,7 +149,7 @@ def test_structure_catches_perturbation():
     with pytest.raises(StructureViolationError, match="column 0 has weight 4, expected 3"):
         verify_structure(bad, 2, 2)
     # wrong row weight
-    rows = list(h.row_support)
+    rows = h.supports()
     rows[0] = (0, 1, 2)
     bad = SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
     with pytest.raises(StructureViolationError):
@@ -140,8 +158,8 @@ def test_structure_catches_perturbation():
 
 def test_structure_catches_four_cycle_with_weights_kept():
     h = build_h(sym_space(2, 2))
-    rows = list(h.row_support)
-    assert (rows[0], rows[3], rows[6]) == ((0, 1), (1, 5), (2, 5))
+    rows = h.supports()
+    assert (rows[0], rows[3], rows[6]) == ([0, 1], [1, 5], [2, 5])
     # move column 0 from row 0 to row 6 and column 5 the other way: every row
     # and column weight stays, but row 0 becomes a second copy of row 3
     rows[0], rows[6] = (1, 5), (0, 2)
@@ -228,15 +246,16 @@ EDGE_SLOT_CASES = {
 def test_edge_slots_link_each_edge_to_its_twin_slot(name):
     h = EDGE_SLOT_CASES[name]()
     row_side, col_side = incidence.edge_slots(h)
-    row_wt = max(map(len, h.row_support), default=0)
-    col_wt = max(max(map(len, h.col_support), default=0), 1)
+    rows, cols = supports(h)
+    row_wt = max(map(len, rows), default=0)
+    col_wt = max(max(map(len, cols), default=0), 1)
     assert row_side.shape == (h.nrows, row_wt) and col_side.shape == (h.ncols, col_wt)
     sides = (
-        (row_side, h.row_support, col_side, col_wt, h.ncols),
-        (col_side, h.col_support, row_side, max(row_wt, 1), h.nrows),
+        (row_side, rows, col_side, col_wt, h.ncols),
+        (col_side, cols, row_side, max(row_wt, 1), h.nrows),
     )
-    for side, supports, other, other_wt, other_count in sides:
-        for v, support in enumerate(supports):
+    for side, side_supports, other, other_wt, other_count in sides:
+        for v, support in enumerate(side_supports):
             real = side[v, : len(support)]
             # each real slot lies in the row of its support entry, in order
             assert (real // other_wt).tolist() == list(support)
@@ -252,9 +271,10 @@ def test_bfs_neighbour_arrays_match_the_padded_supports(name):
     h = EDGE_SLOT_CASES[name]()
     nverts = h.nrows + h.ncols
     rows, cols = incidence._neighbours(h)
-    assert np.array_equal(rows, _padded(h.row_support, h.nrows, nverts))
+    row_supports, col_supports = supports(h)
+    assert np.array_equal(rows, _padded(row_supports, h.nrows, nverts))
     # the column side is at least one slot wide; without edges that slot is padding
-    want = _padded(h.col_support, 0, nverts)
+    want = _padded(col_supports, 0, nverts)
     assert np.array_equal(cols[: len(want)], want)
     assert (cols[len(want) :] == nverts).all()
 
@@ -402,13 +422,86 @@ def test_word_bfs_from_every_root_matches_the_int_bfs(h):
 def reference_overlap(h):
     """lambda_max from every row pair; raises on two rows sharing two columns."""
     seen = set()
-    for col in h.col_support:
+    for col in h.transpose().supports():
         for a in range(len(col)):
             for b in range(a + 1, len(col)):
                 if (col[a], col[b]) in seen:
                     raise StructureViolationError(f"rows {col[a]} and {col[b]}")
                 seen.add((col[a], col[b]))
     return 1 if seen else 0
+
+
+def reference_overlap_loop(h, roots):
+    """verify_structure's former overlap loop, over lists of the supports: (lambda_max, message).
+
+    The message is that of the StructureViolationError raised, else None.
+    """
+    rows, cols = supports(h)
+    lambda_max = 0
+    for r in roots:
+        if r >= h.nrows:
+            break
+        met = {}
+        for j in rows[r]:
+            for i in cols[j]:
+                if i == r:
+                    continue
+                if i in met:
+                    a, b = sorted((r, i))
+                    return None, (
+                        f"rows {a} and {b} share more than one column "
+                        f"(second overlap at column {j})"
+                    )
+                met[i] = j
+                lambda_max = 1
+    return lambda_max, None
+
+
+def _cycle_switches(h, rng, count):
+    """`count` copies of h, each with one weight-preserving 2x2 switch that closes a 4-cycle.
+
+    Row a meets row c at column z; a trades another of its columns, x, for
+    a column y of c that a misses, and a row b holding y but not x takes x
+    in exchange, so a and c then share z and y.
+    """
+    rows, cols = supports(h)
+    out = []
+    while len(out) < count:
+        a = rng.randrange(h.nrows)
+        z, x = rng.sample(rows[a], 2)
+        c = rng.choice([i for i in cols[z] if i != a])
+        ys = [j for j in rows[c] if j not in rows[a]]
+        if not ys:
+            continue
+        y = rng.choice(ys)
+        bs = [i for i in cols[y] if i not in (a, c) and x not in rows[i]]
+        if not bs:
+            continue
+        b = rng.choice(bs)
+        switched = list(rows)
+        switched[a] = sorted({*rows[a]} - {x} | {y})
+        switched[b] = sorted({*rows[b]} - {y} | {x})
+        out.append(SparseBitMatrix.from_rows(h.nrows, h.ncols, switched))
+    return out
+
+
+@pytest.mark.parametrize("every_root", [False, True], ids=["orbit_roots", "every_root"])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_overlap_check_matches_the_view_loop(n, q, every_root):
+    # the same verdict and message as the loop it replaced, on H(n,q) and on
+    # switched copies of it, which keep every weight and so reach the loop
+    h = build_h(sym_space(n, q))
+    cases = [h, *_cycle_switches(h, random.Random(10 * n + q), 12)]
+    for m in cases:
+        if every_root:
+            m._derived["roots"] = tuple(range(m.nrows + m.ncols))  # the trivial group
+        want = reference_overlap_loop(m, incidence.translation_roots(m))
+        try:
+            got = verify_structure(m, n, q).lambda_max, None
+        except StructureViolationError as err:
+            got = None, str(err)
+        assert got == want
+        assert (want[1] is None) == (m is h)
 
 
 ORBIT_INSTANCES = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (3, 2), (3, 3)]
@@ -442,7 +535,7 @@ def test_orbit_roots_match_oracles(n, q, transpose):
 def _altered(n, q, row, point):
     """H(n,q) with the last point of one row replaced by another point."""
     h = build_h(sym_space(n, q))
-    rows = list(h.row_support)
+    rows = h.supports()
     rows[row] = (*rows[row][:-1], point)
     return SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
 
@@ -478,7 +571,7 @@ def test_gallager_code_of_geometry_shape_falls_back_to_every_root():
 def _widened(n, q):
     """H(n,q) with one more column, met by row 0 only: 1 + q^N columns."""
     h = build_h(sym_space(n, q))
-    rows = list(h.row_support)
+    rows = h.supports()
     rows[0] = (*rows[0], h.ncols)
     return SparseBitMatrix.from_rows(h.nrows, h.ncols + 1, rows)
 
@@ -585,13 +678,20 @@ def test_matrix_arrays_are_read_only_copies():
 
 
 @pytest.mark.parametrize("family", ["symmetric", "symmetric_transpose"])
-def test_array_readers_build_no_tuple_view(family):
-    h = make_code(family, 2, 3).h
+def test_array_readers_build_no_tuple_view(tmp_path, family):
+    # H is kept once, as arrays: only the peeler caches a list per entry on h
+    code = make_code(family, 2, 3)
+    h = code.h
     girth(h), diameter(h), rank_gf2(h), incidence.translation_roots(h)
     SumProductDecoder(h)
     incidence.edge_slots(h)
-    for m in (h, h.transpose()):
-        assert "row_support" not in vars(m) and "col_support" not in vars(m)
+    verify_structure(h if family == "symmetric" else h.transpose(), 2, 3)
+    columns_sum_zero(h, [0, 1]), is_stopping_set(h, [0, 1])
+    write_alist(h, tmp_path / "h.alist")
+    stopping_distance(h, budget=gf2._girth_floor(h))  # a budget at the floor searches
+    assert per_entry_lists(h) == []
+    peel_decode_bec(code, np.zeros(code.length, dtype=np.int64))
+    assert per_entry_lists(h) == ["peel"]
 
 
 def test_orbit_check_lays_out_no_edges(monkeypatch):

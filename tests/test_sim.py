@@ -327,12 +327,12 @@ def test_golden_counts(code_name, request):
 
 
 def test_bec_counts_independent_of_threads_and_batch_on_a_fresh_matrix():
-    # the peeler caches its row masks on h at first use; threads=2 runs first,
-    # so both cells may build that cache at once
+    # the peeler caches its row masks and column lists on h at first use;
+    # threads=2 runs first, so both cells may build that cache at once
     from symldpc import FAMILY_SYMMETRIC, make_code
 
     code = make_code(FAMILY_SYMMETRIC, 2, 4)
-    assert "row_masks" not in vars(code.h).get("_derived", {})
+    assert "peel" not in vars(code.h).get("_derived", {})
     two = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=2)
     one = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=1)
     rebatched = run_bec_sweep(code, [0.3, 0.45], 2000, seed=2026, threads=1, batch_size=123)

@@ -56,6 +56,22 @@ def test_every_private_helper_is_used():
     assert not unused, "private helpers nothing else in src uses: " + ", ".join(unused)
 
 
+def test_each_cache_key_has_one_call_site():
+    # SparseBitMatrix._derived is H's one per-instance store: two readers
+    # sharing a key would each read the other's value as its own
+    sites = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_cached":
+                where = f"{path.relative_to(SRC.parent)}:{node.lineno}"
+                key = node.args[0]
+                assert isinstance(key, ast.Constant) and isinstance(key.value, str), where
+                sites.setdefault(key.value, []).append(where)
+    assert sites
+    shared = {key: where for key, where in sites.items() if len(where) > 1}
+    assert not shared, f"cache keys with more than one call site: {shared}"
+
+
 def test_package_all_lists_exactly_its_imports():
     # a name dropped from the imports but not from __all__ (or the reverse)
     # breaks `from symldpc import *` or hides a public name
