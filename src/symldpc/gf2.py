@@ -34,6 +34,9 @@ from .incidence import SparseBitMatrix, girth
 ENUM_DIM_CAP = 25
 # codeword enumeration holds a table of 2^ENUM_TABLE_BITS basis combinations
 ENUM_TABLE_BITS = 12
+# bytes of the largest packed matrix, refused before it is allocated: C(3,5)
+# and CT(3,5) pack about 190 MB, C(3,7) would take 13.1 GiB
+PACK_BYTE_CAP = 1 << 30
 
 EXACT = "exact"
 LOWER_BOUND_ONLY = "lower_bound_only"
@@ -61,8 +64,15 @@ def _pack(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray) -> np.ndar
     """The 0/1 matrix with ones at (rows[k], cols[k]), packed as (nrows, words) uint64.
 
     Bit j % 64 of word j // 64 stands for column j; there is at least one word.
+    A packing of more than PACK_BYTE_CAP bytes raises TooLargeError.
     """
-    packed = np.zeros((nrows, max(1, -(-ncols // 64))), dtype=np.uint64)
+    words = max(1, -(-ncols // 64))
+    if nrows * words * 8 > PACK_BYTE_CAP:
+        raise TooLargeError(
+            f"packing {nrows} x {ncols} bits takes {nrows * words * 8} bytes,"
+            f" past the GF(2) elimination cap of {PACK_BYTE_CAP}"
+        )
+    packed = np.zeros((nrows, words), dtype=np.uint64)
     np.bitwise_or.at(packed, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
     return packed
 

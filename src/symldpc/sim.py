@@ -10,9 +10,14 @@ where W is the per-trial word budget rounded up to the 4-word Philox
 block.  Noise values therefore depend only on (seed, cell, trial), never
 on batch size, thread count, or schedule, and reruns are bit-identical.
 
-Both sweeps share one cell driver, `_sweep`: it draws each batch's
-uniforms, counts word and bit errors and builds the SimResult, while the
-channel supplies only the per-trial bit errors of a batch.
+Both sweeps share one cell driver, `_sweep`: it splits a cell into
+batches, counts word and bit errors and builds the SimResult, while the
+channel supplies only the per-trial bit errors of a batch, drawing the
+batch's uniforms through the driver.  The BEC channel draws a batch at
+once.  The AWGN channel hands the decoder an `_LlrRows`, which draws the
+uniforms, normals and LLRs of the rows the decoder loads one chunk of
+about POOL_BYTES at a time, so a batch's noise never exists as one
+block.
 """
 
 from __future__ import annotations
@@ -145,13 +150,68 @@ def _standard_normals(u: np.ndarray, n: int) -> np.ndarray:
     return u[:, :n]
 
 
+class _LlrRows:
+    """A batch's AWGN channel LLRs, as a (batch, n) row source for decode_batch.
+
+    `draw(lo, hi)` gives the (hi - lo, words) uniforms of the batch's
+    trials [lo, hi).  A slice reaching past the rows drawn so far draws
+    from its first missing row on: the larger of the rows it asks for and
+    about POOL_BYTES of rows, turned into normals and LLRs in the draw's
+    memory, with the same operations on the same values as the whole
+    batch would take.  The stream is counter-based, so any slice gives
+    the right values; ascending slices, as the decoder takes, draw each
+    row once.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, draw, batch: int, n: int, sigma: float):
+        self.shape = (batch, n)
+        self._draw, self._sigma = draw, sigma
+        self._chunk = max(1, POOL_BYTES // (8 * _words_per_trial(n)))
+        self._start = self._stop = 0
+        self._llrs = None
+
+    def _fill(self, lo: int, hi: int) -> None:
+        """Draw rows [lo, max(hi, lo + chunk)), clipped to the batch."""
+        sigma = self._sigma
+        self._llrs = None  # the rows drawn before go first, so two draws never coexist
+        self._start, self._stop = lo, min(self.shape[0], max(hi, lo + self._chunk))
+        # the LLR (2 / sigma^2) (1 + sigma z), computed in the noise's memory
+        llrs = _standard_normals(self._draw(self._start, self._stop), self.shape[1])
+        llrs *= sigma
+        llrs += 1.0
+        llrs *= 2.0 / (sigma * sigma)
+        self._llrs = llrs
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, step = rows.indices(self.shape[0])
+        want = range(lo, hi, step)
+        if not want:
+            return np.empty((0, self.shape[1]))
+        if step != 1:  # the block spanning the rows, then every step-th one
+            return self[min(want) : max(want) + 1][::step]
+        if self._start <= lo < self._stop < hi:
+            # the block runs past the drawn rows: keep their tail, draw on from there
+            head = self._stop - lo
+            block = np.empty((hi - lo, self.shape[1]))
+            block[:head] = self._llrs[lo - self._start :]
+            self._fill(self._stop, hi)
+            block[head:] = self._llrs[: hi - self._start]
+            return block
+        if not self._start <= lo < hi <= self._stop:
+            self._fill(lo, hi)
+        return self._llrs[lo - self._start : hi - self._start]
+
+
 def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
     """Run one cell per parameter; the channel enters only through `errors`.
 
     Each trial draws one uniform per code bit, rounded up to the Philox
-    block (so always an even count, as Box-Muller needs); errors(param,
-    uniforms) maps a (batch, words) block to per-trial bit error counts,
-    and a trial with any bit error is a word error.
+    block (so always an even count, as Box-Muller needs).  errors(param,
+    batch, draw) gives the per-trial bit error counts of a batch, where
+    draw(lo, hi) is the (hi - lo, words) uniform block of the batch's
+    trials [lo, hi); a trial with any bit error is a word error.
     """
     trials = check_integer("trials", trials, 1)
     seed = check_integer("seed", seed, 0)
@@ -168,7 +228,12 @@ def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):
         done = 0
         while done < trials:
             b = min(batch_size, trials - done)
-            errs = errors(param, _uniforms(seed, cell, done * wpt, b * wpt).reshape(b, wpt))
+
+            def draw(lo: int, hi: int, first: int = done) -> np.ndarray:
+                u = _uniforms(seed, cell, (first + lo) * wpt, (hi - lo) * wpt)
+                return u.reshape(hi - lo, wpt)
+
+            errs = errors(param, b, draw)
             word_errors += int(np.count_nonzero(errs))
             bit_errors += int(errs.sum())
             done += b
@@ -209,14 +274,9 @@ def run_awgn_sweep(
     decoder = SumProductDecoder(code.h)
     n = code.length
 
-    def errors(ebno: float, u: np.ndarray) -> np.ndarray:
+    def errors(ebno: float, batch: int, draw) -> np.ndarray:
         sigma = AwgnChannel(ebno_db=ebno, rate=code.rate).sigma
-        # the LLR (2 / sigma^2) (1 + sigma z), computed in the noise's memory
-        llrs = _standard_normals(u, n)
-        llrs *= sigma
-        llrs += 1.0
-        llrs *= 2.0 / (sigma * sigma)
-        bits, _, _ = decoder.decode_batch(llrs, max_iters)
+        bits, _, _ = decoder.decode_batch(_LlrRows(draw, batch, n, sigma), max_iters)
         return bits.sum(axis=1)
 
     return _sweep(code, "awgn", ebno_list, trials, seed, errors, threads, batch_size)
@@ -237,8 +297,8 @@ def run_bec_sweep(
             raise BadParametersError(f"erasure probability must be in [0, 1), got {p}")
     n = code.length
 
-    def errors(p: float, u: np.ndarray) -> np.ndarray:
-        erase = u[:, :n] < p
+    def errors(p: float, batch: int, draw) -> np.ndarray:
+        erase = draw(0, batch)[:, :n] < p
         words = np.where(erase, np.int8(ERASED), np.int8(0))
         # the bits left erased: the sent word is all-zero, so the peeler
         # resolves every bit it reaches to 0; a stall leaves at least one

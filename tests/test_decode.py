@@ -378,21 +378,63 @@ def test_outputs_do_not_depend_on_the_pool_budget(code_name, pool_bytes, request
     _assert_same_decodes(code.h, llrs, max_iters)
 
 
-@pytest.mark.parametrize("ebno", [7.0, 1.0])
-def test_one_sweep_batch_stays_under_two_batch_sized_blocks(c24, ebno):
-    # a batch of 8192 words of 64 bits is one 4 MiB float64 block: the noise
-    # fills it in place, its conversion copies one chunk of POOL_BYTES, and
-    # the decoder's pool holds a few edge-sized buffers of POOL_BYTES each
+# C(2,4) at three batch sizes and in the waterfall, and CT(2,8), whose 576-bit
+# words fit 14 lanes and 113 noise rows per POOL_BYTES
+@pytest.mark.parametrize(
+    "family,q,batch,ebno",
+    [
+        ("symmetric", 4, 2048, 7.0),
+        ("symmetric", 4, 8192, 7.0),
+        ("symmetric", 4, 16384, 7.0),
+        ("symmetric", 4, 8192, 1.0),
+        ("symmetric_transpose", 8, 8192, 7.0),
+    ],
+)
+def test_one_sweep_batch_peaks_at_its_bits_plus_a_few_pools(family, q, batch, ebno):
+    # past the batch x n bytes of decoded bits, a sweep holds the decoder's
+    # pool (a few edge-sized buffers of POOL_BYTES) and one noise chunk of
+    # about POOL_BYTES with its conversion, whatever the batch or the length
     import tracemalloc
 
-    run_awgn_sweep(c24, [7.0], 16, seed=1, threads=1)  # code dimension, imports
+    from symldpc import make_code
+
+    code = make_code(family, 2, q)
+    run_awgn_sweep(code, [7.0], 16, seed=1, threads=1)  # code dimension, imports
     tracemalloc.start()
     try:
-        run_awgn_sweep(c24, [ebno], 8192, seed=2026, threads=1, batch_size=8192)
+        run_awgn_sweep(code, [ebno], batch, seed=2026, threads=1, batch_size=batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8192 * c24.length * 8
+    assert peak - batch * code.length < 8 * decode.POOL_BYTES
+
+
+def test_decode_batch_reads_a_row_source_front_to_back_once(ct22, monkeypatch):
+    # 7 lanes take 40 words in many blocks; the source has no __array__, so
+    # the words reach the decoder only through its row slices
+    monkeypatch.setattr(decode, "LANES", 7)
+    llrs = 2.0 + 1.5 * np.random.default_rng(9).standard_normal((40, ct22.length))
+    asked = []
+
+    class Rows:
+        shape, dtype = llrs.shape, llrs.dtype
+
+        def __getitem__(self, rows):
+            asked.append((rows.start, rows.stop, rows.step))
+            return llrs[rows]
+
+    dec = SumProductDecoder(ct22.h)
+    for got, want in zip(dec.decode_batch(Rows(), 5), dec.decode_batch(llrs, 5)):
+        assert np.array_equal(got, want)
+    assert len(asked) > 1 and asked[0][0] == 0 and asked[-1][1] == len(llrs)
+    assert [lo for lo, _, _ in asked[1:]] == [hi for _, hi, _ in asked[:-1]]
+    assert {step for _, _, step in asked} == {None}
+    # a NaN is refused when the block holding it is loaded
+    llrs[33, 2] = np.nan
+    asked.clear()
+    with pytest.raises(BadParametersError, match="NaN"):
+        dec.decode_batch(Rows(), 5)
+    assert asked[-1][0] <= 33 < asked[-1][1]
 
 
 @pytest.mark.parametrize(
@@ -477,6 +519,19 @@ def test_near_tie_totals_pin_decoder_rounding(code_name, request):
     llrs = _near_tie_llrs(code.h, 6.0 + 2.0 * rng.standard_normal((300, code.length)), rng)
     bits, _, _ = SumProductDecoder(code.h).decode_batch(llrs, max_iters=1)
     assert (int(bits.any(axis=1).sum()), int(bits.sum())) == NEAR_TIE_TOTALS[code.code_id]
+
+
+def test_underflowing_check_product_matches_reference(ct22):
+    # three bits of one check at LLRs near 1e-200: no tanh is 0, but their
+    # product underflows to 0, so the check update takes its zero-count branch
+    h = ct22.h
+    row = h.supports()[0]
+    assert len(row) >= 3
+    llrs = np.full((3, h.ncols), 3.0)
+    llrs[:, row[:3]] = [[1e-200, 2e-200, 3e-200], [-1e-200, 1e-200, 5e-201], [-1e-200, 1e-200, -1.0]]
+    t = np.tanh(0.5 * llrs[:, row])
+    assert (t != 0.0).all() and (np.prod(t, axis=1) == 0.0).all()
+    _assert_same_decodes(h, llrs, 5)
 
 
 def test_decoder_input_validation(ct22):

@@ -38,6 +38,7 @@ from symldpc.codes import family_witness
 from symldpc.exceptions import (
     BadParametersError,
     StructureViolationError,
+    TooLargeError,
     UnsupportedGirthError,
 )
 from symldpc.gf2 import (
@@ -238,6 +239,31 @@ def test_rank_examples(c22):
     assert rank_gf2(c22.h.transpose()) == 7
     zero = SparseBitMatrix.from_rows(3, 5, [(), (), ()])
     assert rank_gf2(zero) == 0
+
+
+def test_oversized_elimination_is_refused_before_it_packs(monkeypatch):
+    # C(3,7)'s shape, 958009 lines over 7^6 points, with three entries: its
+    # packing would take 958009 x 1839 words, 13.1 GiB
+    nrows, ncols = 958009, 7**6
+    weights = np.zeros(nrows, dtype=np.int64)
+    weights[:2] = 2, 1
+    h = SparseBitMatrix.from_flat(nrows, ncols, [0, 5, ncols - 1], weights)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_pack allocated")
+
+    with monkeypatch.context() as m:
+        m.setattr(gf2.np, "zeros", refuse)
+        for reader in (rank_gf2, code_dimension, null_space_basis):
+            with pytest.raises(TooLargeError, match=f"takes {nrows * 1839 * 8} bytes"):
+                reader(h)
+    # the cap admits a packing of exactly its size: 3 rows of one word
+    small = SparseBitMatrix.from_rows(3, 5, [(0, 1), (1, 2), (0, 2)])
+    monkeypatch.setattr(gf2, "PACK_BYTE_CAP", 3 * 8)
+    assert rank_gf2(small) == 2
+    monkeypatch.setattr(gf2, "PACK_BYTE_CAP", 3 * 8 - 1)
+    with pytest.raises(TooLargeError, match="takes 24 bytes"):
+        rank_gf2(SparseBitMatrix.from_rows(3, 5, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_rank_equals_transpose_rank(c24, ct23):

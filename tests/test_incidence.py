@@ -485,13 +485,34 @@ def _cycle_switches(h, rng, count):
     return out
 
 
+def _three_equal_rows(h):
+    """h with rows 1 and 2 set to row 0, and the columns they leave handed to
+    the rows that held row 0's columns, so every weight is kept.
+
+    Rows 0, 1 and 2 then share all of row 0's columns: rows 1 and 2 both
+    complete their second overlap with the root, row 0, at the same column,
+    where the loop meets row 1 first.
+    """
+    rows = [list(r) for r in h.supports()]
+    target = rows[0]
+    for i in (1, 2):
+        given = [j for j in rows[i] if j not in target]
+        taken = [j for j in target if j not in rows[i]]
+        for j, k in zip(taken, given):
+            # a row holding j but not k, outside rows 0 to 2, trades j for k
+            donor = next(r for r in range(3, len(rows)) if j in rows[r] and k not in rows[r])
+            rows[donor] = sorted(set(rows[donor]) - {j} | {k})
+        rows[i] = list(target)
+    return SparseBitMatrix.from_rows(h.nrows, h.ncols, rows)
+
+
 @pytest.mark.parametrize("every_root", [False, True], ids=["orbit_roots", "every_root"])
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_overlap_check_matches_the_view_loop(n, q, every_root):
     # the same verdict and message as the loop it replaced, on H(n,q) and on
     # switched copies of it, which keep every weight and so reach the loop
     h = build_h(sym_space(n, q))
-    cases = [h, *_cycle_switches(h, random.Random(10 * n + q), 12)]
+    cases = [h, *_cycle_switches(h, random.Random(10 * n + q), 12), _three_equal_rows(h)]
     for m in cases:
         if every_root:
             m._derived["roots"] = tuple(range(m.nrows + m.ncols))  # the trivial group

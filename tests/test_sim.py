@@ -94,8 +94,19 @@ def test_in_place_noise_matches_reference_llrs(n, batch, monkeypatch):
     decode_batch = SumProductDecoder.decode_batch
 
     def record(self, llrs, max_iters):
-        seen.append(np.array(llrs, copy=True))
-        return decode_batch(self, llrs, max_iters)
+        # the row blocks the decoder reads, in order: together they must be the batch
+        blocks = []
+
+        class Tap:
+            shape, dtype = llrs.shape, llrs.dtype
+
+            def __getitem__(self, rows):
+                blocks.append(np.array(llrs[rows], copy=True))
+                return blocks[-1]
+
+        out = decode_batch(self, Tap(), max_iters)
+        seen.append(np.concatenate(blocks))
+        return out
 
     monkeypatch.setattr(SumProductDecoder, "decode_batch", record)
     ebnos, seed = [-1.0, 2.5, 7.0], 2026
@@ -112,6 +123,27 @@ def test_in_place_noise_matches_reference_llrs(n, batch, monkeypatch):
             )
             want = reference_llrs(seed, cell, start, batch, n, sigma)
             assert np.array_equal(seen[3 * cell + k], want)
+
+
+def test_llr_rows_give_the_batch_for_any_slice():
+    # 64-bit words draw 1024 rows per chunk: slices inside a chunk, across a
+    # chunk's end, jumping back, stepped either way, negative and empty
+    n, batch, seed, cell, start, sigma = 64, 3000, 2026, 1, 4 * 64, 0.7
+    wpt = _words_per_trial(n)
+
+    def draw(lo, hi):
+        return _uniforms(seed, cell, start + lo * wpt, (hi - lo) * wpt).reshape(hi - lo, wpt)
+
+    rows = sim._LlrRows(draw, batch, n, sigma)
+    assert rows.shape == (batch, n) and rows.dtype == np.float64
+    want = reference_llrs(seed, cell, start, batch, n, sigma)
+    for index in [
+        slice(0, 5), slice(5, 1000), slice(1000, 1030), slice(1030, None), slice(-10, None),
+        slice(100, 200), slice(None, None, -7), slice(3, 2500, 333), slice(100, 50),
+    ]:
+        got = rows[index]
+        assert got.shape == want[index].shape
+        assert np.array_equal(got, want[index])
 
 
 def test_words_per_trial_block_aligned():

@@ -72,6 +72,19 @@ def test_each_cache_key_has_one_call_site():
     assert not shared, f"cache keys with more than one call site: {shared}"
 
 
+def test_philox_is_constructed_at_one_call_site():
+    # the noise-stream layout (key, block offset, word budget per trial) is
+    # written once: every draw, whole batch or chunk, goes through that site
+    sites = [
+        f"{path.relative_to(SRC.parent)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "Philox"
+    ]
+    assert len(sites) == 1, f"np.random.Philox is constructed at {sites}"
+
+
 def test_package_all_lists_exactly_its_imports():
     # a name dropped from the imports but not from __all__ (or the reverse)
     # breaks `from symldpc import *` or hides a public name
@@ -115,7 +128,7 @@ def test_readme_quotes_constants_at_their_values():
     readme = (SRC.parents[1] / "README.md").read_text()
     quoted = re.findall(r"`([A-Z][A-Z0-9_]*)`\s+\(([^)]*)\)", readme)
     required = {"LANES", "POOL_BYTES", "ERASED"}
-    required |= {"EDGE_CAP", "VERTEX_CAP", "BFS_POINT_CAP", "ROOT_BLOCK"}
+    required |= {"EDGE_CAP", "VERTEX_CAP", "BFS_POINT_CAP", "ROOT_BLOCK", "PACK_BYTE_CAP"}
     assert required <= {name for name, _ in quoted}
     constants = _module_constants()
     for name, value in quoted:
