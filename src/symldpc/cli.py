@@ -163,7 +163,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     if args.fmt != "alist":
         raise BadParametersError(f"unknown build format {args.fmt!r}")
     code = codes.make_code(args.family, args.n, args.q)
-    write_alist(code.h, args.out)
+    # everything the sidecar holds, the girth too, comes before any file is
+    # written, so a refusal leaves neither file rather than an alist without one
     meta = {
         "family": code.family,
         "n": args.n,
@@ -174,6 +175,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "gamma": int(code.h.col_weights[0]),
         "girth": _jsonable(code.girth),
     }
+    write_alist(code.h, args.out)
     _meta_path(args.out).write_text(json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {code.h.nrows}x{code.h.ncols} alist to {args.out}")
     return 0

@@ -32,7 +32,11 @@ it, so this is exact.  Once fewer words are pending than lanes are free,
 the live prefix is re-laid as a narrower (rows, live) block at the front
 of the same buffers.  The message and scratch buffers are allocated once
 per call, at the pool's width, as one float64 and one bool block, and
-filled in place, so the decoder's
+filled in place.  Two of the float64 buffers are edge-sized: the check
+side's, where the check update runs, and c2v per variable slot, which
+holds tanh(v2c / 2) in between: the old c2v are dead once v2c is computed
+from them, until the gather back from the check side writes the new
+ones.  So the decoder's
 working memory scales with POOL_BYTES rather than with the batch; only
 the outputs hold a row per word (batch x n bytes of bits).  The check
 update divides each slot's tanh out of its check's product whenever no
@@ -198,8 +202,9 @@ class SumProductDecoder:
             np.float64,
             n,  # channel LLRs
             n,  # posteriors
-            var_slots.size,  # c2v per variable slot
-            var_slots.size + 1,  # tanh(v2c / 2), then its sentinel row
+            # c2v per variable slot, overwritten by tanh(v2c / 2) until the
+            # gather back from the check side; then tanh's sentinel row
+            var_slots.size + 1,
             m,  # check product
             # tanh, leave-one-out, then c2v per check slot; then c2v's sentinel row
             check_slots.size + 1,
@@ -245,17 +250,16 @@ class SumProductDecoder:
                 llr_t, post, c2v_var = narrowed
                 lane_word, lane_iter = lane_word[:live], lane_iter[:live]
                 width = live
-            c2v_by_var = c2v_var.reshape(n, col_wt, width)
-            tv, prod, c2v, bits, par, parity = (
-                _lane_view(buf, width) for buf in scratch
-            )
+            c2v_by_var = c2v_var[:-1].reshape(n, col_wt, width)
+            prod, c2v, bits, par, parity = (_lane_view(buf, width) for buf in scratch)
 
-            # tanh(v2c / 2) on the variable side, then gathered per check slot:
-            # the same operations on the same values as gathering v2c first
+            # tanh(v2c / 2) on the variable side, in place of the c2v it is
+            # computed from, then gathered per check slot: the same operations
+            # on the same values as gathering v2c first
+            tv = c2v_var
             tv[-1] = 1.0  # tanh(inf / 2) = 1 leaves the check product exact
-            tv_by_var = tv[:-1].reshape(c2v_by_var.shape)
-            v = tv_by_var[..., :held]
-            np.subtract(post[:, None, :held], c2v_by_var[..., :held], out=v)
+            v = c2v_by_var[..., :held]
+            np.subtract(post[:, None, :held], v, out=v)
             np.clip(v, -LLR_CLIP, LLR_CLIP, out=v)
             np.multiply(0.5, v, out=v)
             np.tanh(v, out=v)
@@ -266,7 +270,7 @@ class SumProductDecoder:
             first = post[:, held:]
             np.multiply(0.5, llr_t[:, held:], out=first)
             np.tanh(first, out=first)
-            tv_by_var[..., held:] = first[:, None]
+            c2v_by_var[..., held:] = first[:, None]
 
             # mode="clip" skips the bounds-check copy; the slots are in range
             t = c2v[:-1]
@@ -294,7 +298,7 @@ class SumProductDecoder:
             np.multiply(2.0, t, out=t)
             c2v[-1] = 0.0
 
-            np.take(c2v, var_slots, axis=0, out=c2v_var, mode="clip")
+            np.take(c2v, var_slots, axis=0, out=c2v_var[:-1], mode="clip")
             # x0 + ((x1 + x2) + ...) matches the reference decoder in the tests
             # bit for bit up to column weight 8; zero padding leaves it exact
             post.fill(-0.0)

@@ -17,7 +17,10 @@ batch's uniforms through the driver.  The BEC channel draws a batch at
 once.  The AWGN channel hands the decoder an `_LlrRows`, which draws the
 uniforms, normals and LLRs of the rows the decoder loads one chunk of
 about POOL_BYTES at a time, so a batch's noise never exists as one
-block.
+block.  The int-to-float conversion and Box-Muller run over pieces of
+POOL_BYTES // 8 bytes of a chunk, so their temporaries are an eighth of
+it, and the last chunk is let go once the decoder has loaded the batch's
+last row, so no noise lives through the decoder's tail.
 """
 
 from __future__ import annotations
@@ -106,10 +109,11 @@ def _uniforms(seed: int, cell: int, start_word: int, nwords: int) -> np.ndarray:
     """Open-interval (0,1) doubles from the (seed, cell) Philox stream.
 
     Computed in the raw words' own memory: (raw >> 11) + 0.5, times 2^-53.
-    The conversion runs POOL_BYTES at a time: numpy copies an input that
-    shares memory with an output of another dtype, so the copy is one chunk
-    rather than the whole block.  The shifted words are read as int64; each
-    is below 2^53, so they cast to the same doubles as uint64 would.
+    The conversion runs in pieces of POOL_BYTES // 8 bytes: numpy copies an
+    input that shares memory with an output of another dtype, so the copy
+    is one piece rather than the whole block.  The shifted words are read
+    as int64; each is below 2^53, so they cast to the same doubles as
+    uint64 would.
     """
     if start_word % 4:
         raise BadParametersError(f"start word {start_word} is not on a Philox block boundary")
@@ -119,9 +123,9 @@ def _uniforms(seed: int, cell: int, start_word: int, nwords: int) -> np.ndarray:
     raw = bg.random_raw(nwords)
     raw >>= np.uint64(11)
     words, u = raw.view(np.int64), raw.view(np.float64)
-    chunk = POOL_BYTES // raw.itemsize
-    for lo in range(0, nwords, chunk):
-        np.add(words[lo : lo + chunk], 0.5, out=u[lo : lo + chunk])
+    piece = POOL_BYTES // 8 // raw.itemsize
+    for lo in range(0, nwords, piece):
+        np.add(words[lo : lo + piece], 0.5, out=u[lo : lo + piece])
     u *= 2.0**-53
     return u
 
@@ -131,11 +135,11 @@ def _standard_normals(u: np.ndarray, n: int) -> np.ndarray:
 
     The pairs are written back into u: column 2i gets r cos(theta) and column
     2i + 1 gets r sin(theta), where r = sqrt(-2 log u[:, 2i]) and theta =
-    2 pi u[:, 2i + 1].  The transform runs over row chunks of about
-    POOL_BYTES, so its temporaries (sin, and the copy numpy makes of theta
-    where it interleaves with r) stay chunk-sized.
+    2 pi u[:, 2i + 1].  The transform runs over row pieces of about
+    POOL_BYTES // 8 bytes, so its temporaries (sin, and the copy numpy makes
+    of theta where it interleaves with r) are an eighth of a noise chunk.
     """
-    rows = max(1, POOL_BYTES // (u.shape[1] * u.itemsize))
+    rows = max(1, POOL_BYTES // 8 // (u.shape[1] * u.itemsize))
     for lo in range(0, len(u), rows):
         r, theta = u[lo : lo + rows, 0::2], u[lo : lo + rows, 1::2]
         np.log(r, out=r)
@@ -160,7 +164,9 @@ class _LlrRows:
     memory, with the same operations on the same values as the whole
     batch would take.  The stream is counter-based, so any slice gives
     the right values; ascending slices, as the decoder takes, draw each
-    row once.
+    row once.  A slice that reaches the batch's last row lets go of the
+    drawn rows, so they live only as long as the block handed out; a
+    later slice draws again.
     """
 
     dtype = np.dtype(np.float64)
@@ -198,10 +204,16 @@ class _LlrRows:
             block[:head] = self._llrs[lo - self._start :]
             self._fill(self._stop, hi)
             block[head:] = self._llrs[: hi - self._start]
-            return block
-        if not self._start <= lo < hi <= self._stop:
-            self._fill(lo, hi)
-        return self._llrs[lo - self._start : hi - self._start]
+        else:
+            if not self._start <= lo < hi <= self._stop:
+                self._fill(lo, hi)
+            block = self._llrs[lo - self._start : hi - self._start]
+        if hi == self.shape[0]:
+            # the batch's last row is served, so the decoder asks for no more:
+            # the rows go with the block, not through the decoder's tail
+            self._llrs = None
+            self._start = self._stop = 0
+        return block
 
 
 def _sweep(code, channel, params, trials, seed, errors, threads, batch_size):

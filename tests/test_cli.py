@@ -216,6 +216,20 @@ def test_build_refuses_unknown_format_before_building(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_build_refused_girth_leaves_no_alist(tmp_path, capsys, monkeypatch):
+    # C(2,2) has 20 vertices: a BFS cap below that refuses the sidecar's girth,
+    # and build writes nothing rather than an alist without its sidecar
+    monkeypatch.setattr(incidence, "VERTEX_CAP", 19)
+    out = tmp_path / "h22.alist"
+    rc = main(["build", "--n", "2", "--q", "2", "--family", "symmetric", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "vertices exceeds BFS cap 19" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_rejects_non_prime_power(tmp_path, capsys):
     rc = main(
         ["build", "--n", "2", "--q", "6", "--family", "symmetric", "--out", str(tmp_path / "x")]

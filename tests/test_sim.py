@@ -36,13 +36,13 @@ def reference_uniforms(seed, cell, start_word, nwords):
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-# the conversion runs in chunks of POOL_BYTES: counts just below, at and past
-# one chunk, and over several, from the stream's start and from a later block
+# the conversion runs in pieces of POOL_BYTES // 8 bytes: counts just below, at
+# and past one piece, and over several, from the stream's start and from a later block
 @pytest.mark.parametrize("start_word", [0, 4 * 1237])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("chunks", [1, 3])
-def test_uniforms_equal_the_oracle_across_conversion_chunks(chunks, extra, start_word):
-    nwords = chunks * (POOL_BYTES // 8) + extra
+@pytest.mark.parametrize("pieces", [1, 3])
+def test_uniforms_equal_the_oracle_across_conversion_chunks(pieces, extra, start_word):
+    nwords = pieces * (POOL_BYTES // 8 // 8) + extra
     got = _uniforms(2026, 5, start_word, nwords)
     want = reference_uniforms(2026, 5, start_word, nwords)
     assert got.dtype == np.float64 and got.shape == (nwords,)
@@ -58,13 +58,13 @@ def reference_standard_normals(u, n):
     return z[:, :n]
 
 
-# the transform runs over row chunks of about POOL_BYTES: row counts just
-# below, at and past one chunk, and over several
+# the transform runs over row pieces of about POOL_BYTES // 8 bytes: row
+# counts just below, at and past one piece, and over several
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-@pytest.mark.parametrize("chunks", [1, 3])
+@pytest.mark.parametrize("pieces", [1, 3])
 @pytest.mark.parametrize("width", [12, 64, 80])
-def test_standard_normals_equal_the_oracle_across_row_chunks(width, chunks, extra):
-    rows = chunks * (POOL_BYTES // (8 * width)) + extra
+def test_standard_normals_equal_the_oracle_across_row_chunks(width, pieces, extra):
+    rows = pieces * (POOL_BYTES // 8 // (8 * width)) + extra
     u = _uniforms(2026, 5, 0, rows * width).reshape(rows, width)
     want = reference_standard_normals(u.copy(), width - 1)
     got = _standard_normals(u, width - 1)
@@ -125,25 +125,42 @@ def test_in_place_noise_matches_reference_llrs(n, batch, monkeypatch):
             assert np.array_equal(seen[3 * cell + k], want)
 
 
-def test_llr_rows_give_the_batch_for_any_slice():
-    # 64-bit words draw 1024 rows per chunk: slices inside a chunk, across a
-    # chunk's end, jumping back, stepped either way, negative and empty
-    n, batch, seed, cell, start, sigma = 64, 3000, 2026, 1, 4 * 64, 0.7
+def _llr_rows(n, batch, seed, cell, start, sigma):
     wpt = _words_per_trial(n)
 
     def draw(lo, hi):
         return _uniforms(seed, cell, start + lo * wpt, (hi - lo) * wpt).reshape(hi - lo, wpt)
 
-    rows = sim._LlrRows(draw, batch, n, sigma)
+    return sim._LlrRows(draw, batch, n, sigma)
+
+
+def test_llr_rows_give_the_batch_for_any_slice():
+    # 64-bit words draw 1024 rows per chunk: slices inside a chunk, across a
+    # chunk's end, to the batch's end (which lets the rows go) and then back
+    # before it, stepped either way, negative and empty
+    n, batch, seed, cell, start, sigma = 64, 3000, 2026, 1, 4 * 64, 0.7
+    rows = _llr_rows(n, batch, seed, cell, start, sigma)
     assert rows.shape == (batch, n) and rows.dtype == np.float64
     want = reference_llrs(seed, cell, start, batch, n, sigma)
     for index in [
         slice(0, 5), slice(5, 1000), slice(1000, 1030), slice(1030, None), slice(-10, None),
-        slice(100, 200), slice(None, None, -7), slice(3, 2500, 333), slice(100, 50),
+        slice(100, 200), slice(2990, 3000), slice(2000, 2990), slice(1990, 2010),
+        slice(None, None, -7), slice(3, 2500, 333), slice(100, 50),
     ]:
         got = rows[index]
         assert got.shape == want[index].shape
         assert np.array_equal(got, want[index])
+        assert (rows._llrs is None) == (batch - 1 in range(*index.indices(batch)))
+
+
+@pytest.mark.parametrize("batch", [1, 300, 3000])
+def test_llr_rows_hold_no_rows_once_decoded(c24, batch):
+    # once the decoder has loaded the batch's last row, the source lets go of
+    # its last chunk, so no noise lives through the decoder's tail
+    sigma = AwgnChannel(ebno_db=1.0, rate=c24.rate).sigma
+    rows = _llr_rows(c24.length, batch, 2026, 0, 0, sigma)
+    SumProductDecoder(c24.h).decode_batch(rows, max_iters=5)
+    assert rows._llrs is None
 
 
 def test_words_per_trial_block_aligned():
